@@ -11,6 +11,7 @@
 // byte-identical to `--jobs 1`.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -147,8 +148,13 @@ inline BenchArgs parse_args(int argc, char** argv) {
       static_cast<std::uint64_t>(args.flags.get_int("seed", 1));
   args.csv_path = args.flags.get("csv");
   args.json_path = args.flags.get("json");
-  args.shards = static_cast<std::size_t>(args.flags.get_int("shards", 1));
-  if (args.shards < 1) args.shards = 1;
+  const std::int64_t shards = args.flags.get_int("shards", 1);
+  if (shards < 1) {
+    std::fprintf(stderr, "%s: --shards must be at least 1 (got %lld)\n",
+                 argv[0], static_cast<long long>(shards));
+    std::exit(2);
+  }
+  args.shards = static_cast<std::size_t>(shards);
   args.schedule_digest = args.flags.get_bool("schedule-digest", false);
   args.trace.trace = args.flags.get("trace");
   args.trace.trace_csv = args.flags.get("trace-csv");

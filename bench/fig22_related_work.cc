@@ -114,7 +114,6 @@ Row run_aequitas(std::uint64_t seed, const bench::TraceRequest& trace) {
   config.num_hosts = 33;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = true;
   config.slo = make_slo();
   config.seed = seed;
   runner::Experiment experiment(config);

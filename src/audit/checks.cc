@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "core/aequitas.h"
 #include "core/quota.h"
 #include "net/port.h"
 #include "net/queue.h"
@@ -12,7 +11,6 @@
 #include "net/wfq.h"
 #include "rpc/admission.h"
 #include "sim/simulator.h"
-#include "topo/network.h"
 #include "transport/flow.h"
 #include "transport/host_stack.h"
 
@@ -176,14 +174,6 @@ void register_admission_checks(Auditor& auditor, std::string component,
   });
 }
 
-void register_aequitas_checks(Auditor& auditor, std::string component,
-                              const core::AequitasController& controller,
-                              const sim::Simulator& sim) {
-  register_admission_checks(
-      auditor, std::move(component),
-      static_cast<const rpc::AdmissionController&>(controller), sim);
-}
-
 void register_quota_checks(Auditor& auditor, std::string component,
                            const core::QuotaServer& server) {
   auditor.add_check(std::move(component), "allocation-bounds",
@@ -196,24 +186,6 @@ void register_transport_checks(Auditor& auditor, std::string component,
     stack.for_each_flow(
         [](const transport::Flow& flow) { flow.audit_invariants(); });
   });
-}
-
-void register_network_checks(Auditor& auditor, const topo::Network& network,
-                             const sim::Simulator& sim, std::size_t num_qos) {
-  for (std::size_t h = 0; h < network.num_hosts(); ++h) {
-    const auto id = static_cast<net::HostId>(h);
-    register_port_checks(auditor, "host" + std::to_string(h) + "-nic",
-                         network.host(id).egress(), sim, num_qos);
-  }
-  for (std::size_t s = 0; s < network.num_switches(); ++s) {
-    register_switch_checks(auditor, network.fabric_switch(s).name(),
-                           network.fabric_switch(s), sim, num_qos);
-  }
-  std::size_t pool_index = 0;
-  for (const topo::Network::PoolGroup& group : network.pool_groups()) {
-    register_pool_checks(auditor, "pool" + std::to_string(pool_index++),
-                         *group.pool, group.members);
-  }
 }
 
 }  // namespace aeq::audit

@@ -72,7 +72,6 @@
 #include "audit/audit.h"
 
 namespace aeq::core {
-class AequitasController;
 class QuotaServer;
 }  // namespace aeq::core
 namespace aeq::net {
@@ -88,9 +87,6 @@ class AdmissionController;
 namespace aeq::sim {
 class Simulator;
 }  // namespace aeq::sim
-namespace aeq::topo {
-class Network;
-}  // namespace aeq::topo
 namespace aeq::transport {
 class HostStack;
 }  // namespace aeq::transport
@@ -137,12 +133,6 @@ void register_admission_checks(Auditor& auditor, std::string component,
                                const rpc::AdmissionController& controller,
                                const sim::Simulator& sim);
 
-// Legacy alias: AIMD state bounds for one Aequitas controller. Forwards to
-// register_admission_checks (the concrete type adds nothing anymore).
-void register_aequitas_checks(Auditor& auditor, std::string component,
-                              const core::AequitasController& controller,
-                              const sim::Simulator& sim);
-
 // Quota-server conservation (per-QoS allocation sums within budget).
 void register_quota_checks(Auditor& auditor, std::string component,
                            const core::QuotaServer& server);
@@ -151,10 +141,5 @@ void register_quota_checks(Auditor& auditor, std::string component,
 // host's transport stack.
 void register_transport_checks(Auditor& auditor, std::string component,
                                const transport::HostStack& stack);
-
-// Whole-topology sweep: host NIC ports, switches (all egress ports), and
-// shared-buffer pool groups. This is what the experiment harness installs.
-void register_network_checks(Auditor& auditor, const topo::Network& network,
-                             const sim::Simulator& sim, std::size_t num_qos);
 
 }  // namespace aeq::audit

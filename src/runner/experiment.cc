@@ -16,76 +16,12 @@
 
 namespace aeq::runner {
 
-// Folds the legacy admission knobs (enable_aequitas, alpha, beta_per_mtu,
-// p_admit_floor, admission_factory) into config_.admission. Each alias may
-// only RESTATE what the spec already says; a conflicting combination used
-// to be silently resolved (factory > enable_aequitas > scalars) and is now
-// a configuration error, like use_fixed_window vs cc_kind.
-void Experiment::resolve_admission_spec() {
-  policy::AdmissionSpec& spec = config_.admission;
-  const policy::AequitasParams defaults;
-
-  if (config_.admission_factory) {
-    AEQ_ASSERT_MSG(spec.factory == nullptr,
-                   "ExperimentConfig::admission_factory conflicts with "
-                   "admission.factory; set only one");
-    AEQ_ASSERT_MSG(spec.kind == policy::kAequitas,
-                   "ExperimentConfig::admission_factory conflicts with the "
-                   "configured admission.kind; use admission.factory (or "
-                   "drop the kind override)");
-    spec.factory = config_.admission_factory;
-  }
-  if (!config_.enable_aequitas && spec.factory == nullptr) {
-    AEQ_ASSERT_MSG(spec.kind == policy::kAequitas ||
-                       spec.kind == policy::kAlwaysAdmit,
-                   "ExperimentConfig::enable_aequitas = false conflicts "
-                   "with the configured admission.kind; set admission.kind "
-                   "= \"always-admit\" instead of the legacy flag");
-    spec.kind = policy::kAlwaysAdmit;
-  }
-  const bool aequitas_knobs_apply =
-      spec.factory == nullptr && spec.kind == policy::kAequitas;
-  auto fold_scalar = [&](double legacy, double& target, double fallback,
-                         const char* name) {
-    if (legacy == fallback) return;  // alias left at its default: nothing set
-    AEQ_ASSERT_MSG(aequitas_knobs_apply,
-                   "a legacy Aequitas knob (alpha/beta_per_mtu/"
-                   "p_admit_floor) is set but the resolved admission policy "
-                   "is not \"aequitas\"");
-    AEQ_ASSERT_MSG(target == fallback || target == legacy, name);
-    target = legacy;
-  };
-  fold_scalar(config_.alpha, spec.aequitas.alpha, defaults.alpha,
-              "ExperimentConfig::alpha conflicts with "
-              "admission.aequitas.alpha");
-  fold_scalar(config_.beta_per_mtu, spec.aequitas.beta_per_mtu,
-              defaults.beta_per_mtu,
-              "ExperimentConfig::beta_per_mtu conflicts with "
-              "admission.aequitas.beta_per_mtu");
-  fold_scalar(config_.p_admit_floor, spec.aequitas.p_admit_floor,
-              defaults.p_admit_floor,
-              "ExperimentConfig::p_admit_floor conflicts with "
-              "admission.aequitas.p_admit_floor");
-}
-
-Experiment::Experiment(const ExperimentConfig& config)
-    : config_(config), sim_(config.scheduler_backend) {
+Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   AEQ_CHECK_GE(config_.num_qos, 2u);
   AEQ_ASSERT_MSG(config_.slo.num_qos() == config_.num_qos,
                  "SLO config must cover every QoS level");
-  resolve_admission_spec();
-  // The legacy use_fixed_window alias may only restate the fixed-window
-  // choice; combined with a conflicting cc_kind it is a configuration error
-  // (it used to silently override the requested transport).
-  AEQ_ASSERT_MSG(!config_.use_fixed_window ||
-                     config_.cc_kind == ExperimentConfig::CcKind::kSwift ||
-                     config_.cc_kind == ExperimentConfig::CcKind::kFixedWindow,
-                 "ExperimentConfig::use_fixed_window conflicts with the "
-                 "configured cc_kind; use cc_kind = CcKind::kFixedWindow "
-                 "instead of the legacy flag");
-  if (config_.use_fixed_window) {
-    config_.cc_kind = ExperimentConfig::CcKind::kFixedWindow;
-  }
+  AEQ_CHECK_GE(config_.shards, 1u);
+  check_shard_support();
 
   net::QueueConfig queue;
   queue.type = config_.scheduler;
@@ -102,51 +38,41 @@ Experiment::Experiment(const ExperimentConfig& config)
   AEQ_ASSERT(config_.scheduler == net::SchedulerType::kPfabric ||
              config_.wfq_weights.size() == config_.num_qos);
 
-  AEQ_CHECK_GE(config_.shards, 1u);
-  if (config_.use_leaf_spine) {
-    AEQ_ASSERT_MSG(config_.shards == 1,
-                   "sharded execution supports star topologies only");
-    topo::LeafSpineConfig ls = config_.leaf_spine;
-    ls.host_queue = queue;
-    ls.switch_queue = queue;
-    network_ = topo::build_leaf_spine(sim_, ls);
-    config_.num_hosts = network_.num_hosts();
-  } else if (config_.shards > 1) {
+  topo::StarConfig star;
+  star.num_hosts = config_.num_hosts;
+  star.link_rate = config_.link_rate;
+  star.link_delay = config_.link_delay;
+  star.host_queue = queue;
+  star.switch_queue = queue;
+  if (config_.shards > 1) {
     AEQ_CHECK_GE(config_.num_hosts, config_.shards);
-    topo::StarConfig star;
-    star.num_hosts = config_.num_hosts;
-    star.link_rate = config_.link_rate;
-    star.link_delay = config_.link_delay;
-    star.host_queue = queue;
-    star.switch_queue = queue;
     const topo::ShardPlan plan = topo::make_shard_plan(star, config_.shards);
-    sharded_ = std::make_unique<sim::ShardedSimulator>(
+    executive_ = std::make_unique<sim::ShardedSimulator>(
         config_.shards, config_.scheduler_backend, plan.lookahead);
     std::vector<sim::Simulator*> sims;
     sims.reserve(config_.shards);
     for (std::size_t k = 0; k < config_.shards; ++k) {
-      sims.push_back(&sharded_->shard(k));
+      sims.push_back(&executive_->shard(k));
     }
     fabric_ = std::make_unique<net::ShardFabric>(sims, plan.shard_of_host);
     network_ = topo::build_sharded_star(sims, star, plan, *fabric_);
-    sharded_->set_barrier_callback([this] { fabric_->drain_all(); });
+    executive_->set_barrier_callback([this] { fabric_->drain_all(); });
   } else {
-    topo::StarConfig star;
-    star.num_hosts = config_.num_hosts;
-    star.link_rate = config_.link_rate;
-    star.link_delay = config_.link_delay;
-    star.host_queue = queue;
-    star.switch_queue = queue;
-    network_ = topo::build_star(sim_, star);
-  }
-
-  if (config_.schedule_digest) {
-    if (sharded_) {
-      sharded_->enable_schedule_digest();
+    // One shard has no cut, hence no lookahead to bound.
+    executive_ = std::make_unique<sim::ShardedSimulator>(
+        1, config_.scheduler_backend, /*lookahead=*/0.0);
+    if (config_.use_leaf_spine) {
+      topo::LeafSpineConfig ls = config_.leaf_spine;
+      ls.host_queue = queue;
+      ls.switch_queue = queue;
+      network_ = topo::build_leaf_spine(simulator(), ls);
+      config_.num_hosts = network_.num_hosts();
     } else {
-      sim_.enable_schedule_digest();
+      network_ = topo::build_star(simulator(), star);
     }
   }
+
+  if (config_.schedule_digest) executive_->enable_schedule_digest();
 
   if (config_.queue_reserve_packets != 0) {
     // make_queue already pre-sized each discipline's rings; extend the hint
@@ -163,23 +89,11 @@ Experiment::Experiment(const ExperimentConfig& config)
       }
     }
   }
-  if (sharded_) {
-    for (std::size_t k = 0; k < config_.shards; ++k) {
-      sharded_->shard(k).reserve_events(config_.reserve_events);
-    }
-  } else {
-    sim_.reserve_events(config_.reserve_events);
-  }
-
-  metrics_ = std::make_unique<rpc::RpcMetrics>(config_.num_qos, config_.slo,
-                                               network_.num_hosts());
-  if (sharded_) {
-    // Each shard records its own hosts' RPCs into a private sink; run()
-    // folds them into metrics_ in shard-id order (sample-exact merge).
-    for (std::size_t k = 0; k < config_.shards; ++k) {
-      shard_metrics_.push_back(std::make_unique<rpc::RpcMetrics>(
-          config_.num_qos, config_.slo, network_.num_hosts()));
-    }
+  for (std::size_t k = 0; k < config_.shards; ++k) {
+    executive_->shard(k).reserve_events(config_.reserve_events);
+    // Each shard records its own hosts' RPCs into a private sink.
+    metrics_.push_back(std::make_unique<rpc::RpcMetrics>(
+        config_.num_qos, config_.slo, network_.num_hosts()));
   }
 
   sim::Rng seeder(config_.seed);
@@ -220,20 +134,30 @@ Experiment::Experiment(const ExperimentConfig& config)
 
     stacks_.push_back(std::make_unique<rpc::RpcStack>(
         host_simulator(id), id, *host_stacks_.back(), *controllers_.back(),
-        host_metrics(id), stack_config));
+        *metrics_[shard_of(id)], stack_config));
   }
 
-  // Fold the legacy trace aliases into the spec before wiring.
-  if (!config_.trace.empty()) config_.telemetry.trace = config_.trace;
-  if (!config_.trace_csv.empty()) {
-    config_.telemetry.trace_csv = config_.trace_csv;
-  }
-  if (config_.audit) {
-    sharded_ ? register_shard_audit_checks() : register_audit_checks();
-  }
-  if (config_.telemetry.any()) {
-    sharded_ ? wire_shard_telemetry() : wire_telemetry();
-  }
+  if (config_.audit) register_audit_checks();
+  if (config_.telemetry.any()) wire_telemetry();
+}
+
+// The K>1 executive's envelope, in one place: shards partition a star, and
+// nothing may read cross-shard state mid-run (samplers, the windowed
+// telemetry that folds every port into one timeline) or run twice (the
+// per-shard metrics are folded into one sink after the first run()).
+void Experiment::check_shard_support() const {
+  if (config_.shards == 1) return;
+  AEQ_ASSERT_MSG(!config_.use_leaf_spine,
+                 "sharded execution supports star topologies only");
+  AEQ_ASSERT_MSG(!config_.telemetry.windowed() &&
+                     config_.telemetry.flight_recorder.empty(),
+                 "windowed telemetry (timeseries/watchdog/flight recorder) "
+                 "is not yet supported with shards > 1; use --trace / "
+                 "--trace-csv");
+  AEQ_ASSERT_MSG(samplers_.empty(),
+                 "sample_every is not supported with shards > 1 (samplers "
+                 "read cross-shard state mid-run)");
+  AEQ_ASSERT_MSG(!ran_, "a sharded experiment supports one run() call");
 }
 
 Experiment::~Experiment() {
@@ -246,23 +170,12 @@ Experiment::~Experiment() {
   }
 }
 
-void Experiment::trace_to(const std::string& chrome_json,
-                          const std::string& csv) {
-  if (chrome_json.empty() && csv.empty()) return;
-  TelemetrySpec spec;
-  spec.trace = chrome_json;
-  spec.trace_csv = csv;
-  enable_telemetry(spec);
-}
-
 void Experiment::enable_telemetry(const TelemetrySpec& spec) {
-  AEQ_ASSERT_MSG(recorder_ == nullptr && shard_recorders_.empty(),
-                 "telemetry is already enabled");
+  AEQ_ASSERT_MSG(recorders_.empty(), "telemetry is already enabled");
   if (!spec.any()) return;
   config_.telemetry = spec;
-  config_.trace = spec.trace;
-  config_.trace_csv = spec.trace_csv;
-  sharded_ ? wire_shard_telemetry() : wire_telemetry();
+  check_shard_support();
+  wire_telemetry();
 }
 
 void Experiment::enable_profiling(const std::string& path) {
@@ -285,21 +198,20 @@ void Experiment::enable_profiling(const std::string& path) {
 void Experiment::start_profiling() {
   AEQ_ASSERT(prof_run_ == nullptr);
   prof_run_ = std::make_unique<ProfRun>();
-  prof_run_->events_at_start = sharded_ ? 0 : sim_.events_processed();
-  if (sharded_) {
-    std::vector<obs::prof::Collector*> collectors;
-    collectors.reserve(config_.shards);
-    for (std::size_t k = 0; k < config_.shards; ++k) {
-      prof_run_->shard_collectors.push_back(
-          std::make_unique<obs::prof::Collector>());
-      collectors.push_back(prof_run_->shard_collectors.back().get());
-    }
-    sharded_->set_profiling(std::move(collectors));
+  std::vector<obs::prof::Collector*> collectors;
+  for (std::size_t k = 0; k < config_.shards; ++k) {
+    prof_run_->shard_collectors.push_back(
+        std::make_unique<obs::prof::Collector>());
+    collectors.push_back(prof_run_->shard_collectors.back().get());
+    prof_run_->events_at_start.push_back(
+        executive_->shard(k).events_processed());
   }
-  // This thread's collector: serial runs attribute the whole simulation
-  // here; sharded runs only the coordinator's barrier drains and the
-  // post-run sweeps that execute on this thread.
-  obs::prof::install(&prof_run_->main);
+  // At K=1 this installs shard 0's collector on this thread, which then
+  // attributes the whole run; above that each worker gets its own, and
+  // this thread's coordinator collector sees only the barrier drains and
+  // the post-run sweeps.
+  executive_->set_profiling(std::move(collectors));
+  if (config_.shards > 1) obs::prof::install(&prof_run_->coordinator);
   prof_run_->begin = obs::prof::calibration_point();
 }
 
@@ -307,10 +219,11 @@ void Experiment::finish_profiling() {
   AEQ_ASSERT(prof_run_ != nullptr);
   const obs::prof::Calibration end_point = obs::prof::calibration_point();
   obs::prof::install(nullptr);
+  executive_->set_profiling({});
 
   obs::prof::Report report;
   report.sim_time = now();
-  report.num_shards = sharded_ ? config_.shards : 1;
+  report.num_shards = config_.shards;
   report.cycles_per_second =
       obs::prof::cycles_per_second(prof_run_->begin, end_point);
   report.elapsed_seconds =
@@ -334,30 +247,30 @@ void Experiment::finish_profiling() {
                : busy;
   };
 
-  if (sharded_) {
-    sharded_->set_profiling({});
-    const sim::ExecutiveStats exec = sharded_->executive_stats();
-    for (std::size_t k = 0; k < config_.shards; ++k) {
-      obs::prof::ThreadProfile thread;
-      thread.label = "shard" + std::to_string(k);
-      thread.events = exec.shards[k].events;
-      thread.busy_cycles = exec.shards[k].busy_cycles;
-      thread.wait_cycles = exec.shards[k].wait_cycles;
-      thread.collector = *prof_run_->shard_collectors[k];
-      report.events_processed += thread.events;
-      report.threads.push_back(std::move(thread));
-    }
+  // One thread per shard; the K=1 shard ran inline on this thread for the
+  // whole envelope and keeps its "serial" label.
+  const bool serial = config_.shards == 1;
+  const sim::ExecutiveStats exec = executive_->executive_stats();
+  for (std::size_t k = 0; k < config_.shards; ++k) {
+    obs::prof::ThreadProfile thread;
+    thread.label = serial ? "serial" : "shard" + std::to_string(k);
+    thread.events = exec.shards[k].events - prof_run_->events_at_start[k];
+    thread.busy_cycles = serial ? envelope : exec.shards[k].busy_cycles;
+    thread.wait_cycles = exec.shards[k].wait_cycles;
+    thread.collector = *prof_run_->shard_collectors[k];
+    report.events_processed += thread.events;
+    report.denominator_cycles +=
+        share_denominator(thread.collector, thread.busy_cycles);
+    report.threads.push_back(std::move(thread));
+  }
+  if (!serial) {
     obs::prof::ThreadProfile coordinator;
     coordinator.label = "coordinator";
     coordinator.busy_cycles = envelope;
-    coordinator.collector = prof_run_->main;
+    coordinator.collector = prof_run_->coordinator;
+    report.denominator_cycles +=
+        share_denominator(prof_run_->coordinator, envelope);
     report.threads.push_back(std::move(coordinator));
-    report.denominator_cycles = 0;
-    for (std::size_t k = 0; k < config_.shards; ++k) {
-      report.denominator_cycles += share_denominator(
-          *prof_run_->shard_collectors[k], exec.shards[k].busy_cycles);
-    }
-    report.denominator_cycles += share_denominator(prof_run_->main, envelope);
 
     report.executive.present = true;
     report.executive.windows = exec.windows;
@@ -370,15 +283,6 @@ void Experiment::finish_profiling() {
     report.executive.mailbox_depth_hwm = fabric_->mailbox_depth_hwm();
     report.executive.cross_shard_packets = fabric_->cross_shard_packets();
     report.executive.mailbox_overflows = fabric_->mailbox_overflows();
-  } else {
-    obs::prof::ThreadProfile thread;
-    thread.label = "serial";
-    thread.events = sim_.events_processed() - prof_run_->events_at_start;
-    thread.busy_cycles = envelope;
-    thread.collector = prof_run_->main;
-    report.events_processed = thread.events;
-    report.threads.push_back(std::move(thread));
-    report.denominator_cycles = share_denominator(prof_run_->main, envelope);
   }
 
   obs::prof::write_json(report, config_.prof);
@@ -438,7 +342,6 @@ void Experiment::fill_watchdog_defaults(obs::WatchdogConfig& config) const {
   }
   // "Pinned at the controller's own floor" — separates pathological
   // collapse from ordinary heavy throttling of misbehaving channels.
-  // (Resolved spec: resolve_admission_spec folded any legacy knob here.)
   if (config.p_admit_floor < 0.0) {
     config.p_admit_floor = 1.5 * config_.admission.aequitas.p_admit_floor;
   }
@@ -471,18 +374,53 @@ void Experiment::failure_dump(void* self) {
   }
 }
 
+// One Recorder per shard so emission never synchronizes across workers.
+// At K=1 the one recorder's sinks write the requested paths; above that
+// shard k writes `<path>.shard<k>` and run() merges the files into the
+// final path in shard-id order (obs::merge_sharded_*), giving stable bytes
+// for any rerun of the same seed and shard count. Port names
+// ("host<i>-nic", "<switch>-port<p>") and registration order (global host
+// order, then switches) do not depend on the shard count.
+//
+// Port-id bases: each recorder numbers its ports from a cumulative base
+// (shard k's base = total ports owned by shards < k) so ids — and
+// therefore Chrome-trace pids — are globally unique. Without the bases
+// every shard numbered from 0 and the merged trace folded same-index
+// ports from different shards into one track
+// (tests/shard_merge_test.cc::PortTracksStayDistinctAcrossShards).
 void Experiment::wire_telemetry() {
   const TelemetrySpec& spec = config_.telemetry;
-  recorder_ = std::make_unique<obs::Recorder>();
-  if (!spec.trace.empty()) {
-    recorder_->own_sink(std::make_unique<obs::ChromeTraceSink>(spec.trace));
+  const auto sink_path = [this](const std::string& path, std::size_t k) {
+    return config_.shards == 1 ? path : obs::shard_trace_path(path, k);
+  };
+  std::vector<std::uint32_t> port_count(config_.shards, 0);
+  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
+    ++port_count[shard_of(static_cast<net::HostId>(i))];
   }
-  if (!spec.trace_csv.empty()) {
-    recorder_->own_sink(std::make_unique<obs::CsvSink>(spec.trace_csv));
+  for (std::size_t s = 0; s < network_.num_switches(); ++s) {
+    port_count[shard_of_switch(s)] += static_cast<std::uint32_t>(
+        network_.fabric_switch(s).num_ports());
   }
+  std::uint32_t base = 0;
+  for (std::size_t k = 0; k < config_.shards; ++k) {
+    recorders_.push_back(std::make_unique<obs::Recorder>(base));
+    base += port_count[k];
+    if (!spec.trace.empty()) {
+      recorders_[k]->own_sink(
+          std::make_unique<obs::ChromeTraceSink>(sink_path(spec.trace, k)));
+    }
+    if (!spec.trace_csv.empty()) {
+      recorders_[k]->own_sink(
+          std::make_unique<obs::CsvSink>(sink_path(spec.trace_csv, k)));
+    }
+  }
+
+  // Windowed telemetry and the flight recorder (K=1 only, see
+  // check_shard_support) hang off the one recorder.
+  obs::Recorder& recorder = *recorders_[0];
   if (!spec.flight_recorder.empty()) {
     flight_ = static_cast<obs::FlightRecorder*>(
-        recorder_->own_sink(std::make_unique<obs::FlightRecorder>(
+        recorder.own_sink(std::make_unique<obs::FlightRecorder>(
             spec.flight_recorder_config)));
     // Arm the last-gasp hook: an assert/audit failure dumps the ring
     // before aborting.
@@ -499,7 +437,7 @@ void Experiment::wire_telemetry() {
     ts.csv_path = spec.timeseries_csv;
     ts.json_path = spec.timeseries_json;
     timeseries_ = static_cast<obs::TimeseriesSink*>(
-        recorder_->own_sink(std::make_unique<obs::TimeseriesSink>(ts)));
+        recorder.own_sink(std::make_unique<obs::TimeseriesSink>(ts)));
     // Every closed window also samples the admission controllers' gauges
     // (read-only, like the audit sweep), giving `--controller=` shoot-outs
     // a per-window gauge timeline next to the admission-plane columns.
@@ -526,152 +464,70 @@ void Experiment::wire_telemetry() {
     watchdog_->add_callback(
         [this](const obs::Anomaly& anomaly) { on_anomaly(anomaly); });
   }
-  // Stable port naming: host NICs first (in host order), then each fabric
-  // switch's egress ports. Names land in the trace as process labels.
+
   for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
+    const auto id = static_cast<net::HostId>(i);
+    obs::Recorder& host_recorder = *recorders_[shard_of(id)];
     const std::uint32_t pid =
-        recorder_->register_port("host" + std::to_string(i) + "-nic");
-    network_.host(static_cast<net::HostId>(i))
-        .egress()
-        .set_observer(recorder_.get(), pid);
+        host_recorder.register_port("host" + std::to_string(i) + "-nic");
+    network_.host(id).egress().set_observer(&host_recorder, pid);
+    host_stacks_[i]->set_observer(&host_recorder);
+    stacks_[i]->set_observer(&host_recorder);
   }
   for (std::size_t s = 0; s < network_.num_switches(); ++s) {
     net::Switch& sw = network_.fabric_switch(s);
+    obs::Recorder& switch_recorder = *recorders_[shard_of_switch(s)];
     for (std::size_t p = 0; p < sw.num_ports(); ++p) {
-      const std::uint32_t pid = recorder_->register_port(
+      const std::uint32_t pid = switch_recorder.register_port(
           sw.name() + "-port" + std::to_string(p));
-      sw.port(p).set_observer(recorder_.get(), pid);
-    }
-  }
-  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    host_stacks_[i]->set_observer(recorder_.get());
-    stacks_[i]->set_observer(recorder_.get());
-  }
-}
-
-// Sharded variant of wire_telemetry: one Recorder per shard so emission
-// never synchronizes across workers, each writing to `<path>.shard<k>`.
-// Port names match the serial naming scheme ("host<i>-nic",
-// "<switch>-port<p>") and registration order within a shard is global host
-// order, so per-shard files are deterministic; run() merges them into the
-// final path in shard-id order (obs::merge_sharded_*), giving stable bytes
-// for any rerun of the same seed and shard count.
-//
-// Port-id bases: each recorder numbers its ports from a cumulative base
-// (shard k's base = total ports owned by shards < k) so ids — and
-// therefore Chrome-trace pids — are globally unique. Without the bases
-// every shard numbered from 0 and the merged trace folded same-index
-// ports from different shards into one track
-// (tests/shard_merge_test.cc::PortTracksStayDistinctAcrossShards).
-void Experiment::wire_shard_telemetry() {
-  const TelemetrySpec& spec = config_.telemetry;
-  AEQ_ASSERT_MSG(!spec.windowed() && spec.flight_recorder.empty(),
-                 "windowed telemetry (timeseries/watchdog/flight recorder) "
-                 "is not yet supported with shards > 1; use --trace / "
-                 "--trace-csv");
-  std::vector<std::uint32_t> port_count(config_.shards, 0);
-  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    ++port_count[fabric_->shard_of(static_cast<net::HostId>(i))];
-  }
-  for (std::size_t s = 0; s < network_.num_switches(); ++s) {
-    port_count[s] += static_cast<std::uint32_t>(
-        network_.fabric_switch(s).num_ports());
-  }
-  shard_recorders_.resize(config_.shards);
-  std::uint32_t base = 0;
-  for (std::size_t k = 0; k < config_.shards; ++k) {
-    shard_recorders_[k] = std::make_unique<obs::Recorder>(base);
-    base += port_count[k];
-    if (!spec.trace.empty()) {
-      shard_recorders_[k]->own_sink(std::make_unique<obs::ChromeTraceSink>(
-          obs::shard_trace_path(spec.trace, k)));
-    }
-    if (!spec.trace_csv.empty()) {
-      shard_recorders_[k]->own_sink(std::make_unique<obs::CsvSink>(
-          obs::shard_trace_path(spec.trace_csv, k)));
-    }
-  }
-  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    const auto id = static_cast<net::HostId>(i);
-    obs::Recorder& recorder = *shard_recorders_[fabric_->shard_of(id)];
-    const std::uint32_t pid =
-        recorder.register_port("host" + std::to_string(i) + "-nic");
-    network_.host(id).egress().set_observer(&recorder, pid);
-    host_stacks_[i]->set_observer(&recorder);
-    stacks_[i]->set_observer(&recorder);
-  }
-  for (std::size_t s = 0; s < network_.num_switches(); ++s) {
-    net::Switch& sw = network_.fabric_switch(s);
-    obs::Recorder& recorder = *shard_recorders_[s];
-    for (std::size_t p = 0; p < sw.num_ports(); ++p) {
-      const std::uint32_t pid =
-          recorder.register_port(sw.name() + "-port" + std::to_string(p));
-      sw.port(p).set_observer(&recorder, pid);
+      sw.port(p).set_observer(&switch_recorder, pid);
     }
   }
 }
 
+// One auditor per shard, covering exactly that shard's components (its
+// hosts' NIC ports + transports + controllers, its switches, its
+// simulator). Mid-run checks therefore never read state another shard is
+// mutating; the periodic sweep runs inside each shard's own event stream.
+// Shared buffer pools only exist in K=1 topologies and go to shard 0.
+// Checks stay read-only, so results are identical with audit on.
 void Experiment::register_audit_checks() {
-  auditor_ = std::make_unique<audit::Auditor>();
-  audit::register_simulator_checks(*auditor_, sim_);
-  audit::register_network_checks(*auditor_, network_, sim_, config_.num_qos);
-  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    const std::string host = "host" + std::to_string(i);
-    audit::register_transport_checks(*auditor_, host + "-transport",
-                                     *host_stacks_[i]);
-    audit::register_admission_checks(*auditor_, host + "-admission",
-                                     *controllers_[i], sim_);
-  }
-}
-
-// Sharded variant: one auditor per shard, covering exactly that shard's
-// components (its hosts' NIC ports + transports + controllers, its switch,
-// its simulator). Mid-run checks therefore never read state another shard
-// is mutating; the periodic sweep runs inside each shard's own event
-// stream. Checks stay read-only, so results are identical with audit on.
-void Experiment::register_shard_audit_checks() {
-  shard_auditors_.resize(config_.shards);
   for (std::size_t k = 0; k < config_.shards; ++k) {
-    shard_auditors_[k] = std::make_unique<audit::Auditor>();
-    audit::register_simulator_checks(*shard_auditors_[k],
-                                     sharded_->shard(k));
+    auditors_.push_back(std::make_unique<audit::Auditor>());
+    audit::register_simulator_checks(*auditors_[k], executive_->shard(k));
   }
   for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
     const auto id = static_cast<net::HostId>(i);
-    const std::size_t k = fabric_->shard_of(id);
-    audit::Auditor& auditor = *shard_auditors_[k];
+    audit::Auditor& auditor = *auditors_[shard_of(id)];
     const std::string host = "host" + std::to_string(i);
     audit::register_port_checks(auditor, host + "-nic",
                                 network_.host(id).egress(),
-                                sharded_->shard(k), config_.num_qos);
+                                host_simulator(id), config_.num_qos);
     audit::register_transport_checks(auditor, host + "-transport",
                                      *host_stacks_[i]);
     audit::register_admission_checks(auditor, host + "-admission",
-                                     *controllers_[i], sharded_->shard(k));
+                                     *controllers_[i], host_simulator(id));
   }
   for (std::size_t s = 0; s < network_.num_switches(); ++s) {
-    // build_sharded_star creates exactly one switch per shard, in order.
-    audit::register_switch_checks(*shard_auditors_[s],
+    const std::size_t k = shard_of_switch(s);
+    audit::register_switch_checks(*auditors_[k],
                                   network_.fabric_switch(s).name(),
                                   network_.fabric_switch(s),
-                                  sharded_->shard(s), config_.num_qos);
+                                  executive_->shard(k), config_.num_qos);
+  }
+  std::size_t pool_index = 0;
+  for (const topo::Network::PoolGroup& group : network_.pool_groups()) {
+    audit::register_pool_checks(*auditors_[0],
+                                "pool" + std::to_string(pool_index++),
+                                *group.pool, group.members);
   }
 }
 
-void Experiment::schedule_audit(sim::Time at, sim::Time end) {
+void Experiment::schedule_audit(std::size_t k, sim::Time at, sim::Time end) {
   if (at > end) return;
-  sim_.schedule_at(at, [this, at, end] {
-    auditor_->run_all();
-    schedule_audit(at + config_.audit_interval, end);
-  });
-}
-
-void Experiment::schedule_shard_audit(std::size_t k, sim::Time at,
-                                      sim::Time end) {
-  if (at > end) return;
-  sharded_->shard(k).schedule_at(at, [this, k, at, end] {
-    shard_auditors_[k]->run_all();
-    schedule_shard_audit(k, at + config_.audit_interval, end);
+  executive_->shard(k).schedule_at(at, [this, k, at, end] {
+    auditors_[k]->run_all();
+    schedule_audit(k, at + config_.audit_interval, end);
   });
 }
 
@@ -681,40 +537,30 @@ void Experiment::schedule_shard_audit(std::size_t k, sim::Time at,
 // another window and the watchdog's stall rule could never fire.
 void Experiment::schedule_telemetry_tick(sim::Time at, sim::Time end) {
   if (at > end) return;
-  sim_.schedule_at(at, [this, at, end] {
+  simulator().schedule_at(at, [this, at, end] {
     timeseries_->advance_to(at);
     schedule_telemetry_tick(at + config_.telemetry.timeseries_width, end);
   });
 }
 
-const workload::SizeDistribution* Experiment::own(
-    std::unique_ptr<workload::SizeDistribution> dist) {
-  owned_dists_.push_back(std::move(dist));
-  return owned_dists_.back().get();
-}
-
 workload::TrafficGenerator& Experiment::add_generator(
     net::HostId id, const workload::GeneratorConfig& generator_config,
     workload::DestinationPicker picker) {
-  if (!picker) {
-    picker = workload::uniform_destinations(network_.num_hosts(), id);
-  }
-  sim::Rng rng(config_.seed * 7919 + static_cast<std::uint64_t>(id) + 1);
-  generators_.push_back(std::make_unique<workload::TrafficGenerator>(
-      host_simulator(id), stack(id), std::move(picker), generator_config,
-      rng));
-  return *generators_.back();
+  return generators_.add(host_simulator(id), stack(id), network_.num_hosts(),
+                         id, config_.seed, generator_config,
+                         std::move(picker));
 }
 
 void Experiment::sample_every(sim::Time interval,
                               std::function<void(sim::Time)> fn) {
   AEQ_ASSERT(interval > 0.0 && fn != nullptr);
   samplers_.push_back(Sampler{interval, std::move(fn)});
+  check_shard_support();
 }
 
 void Experiment::schedule_sampler(std::size_t index, sim::Time at) {
   if (at >= run_end_) return;
-  sim_.schedule_at(at, [this, index, at] {
+  simulator().schedule_at(at, [this, index, at] {
     samplers_[index].fn(at);
     schedule_sampler(index, at + samplers_[index].interval);
   });
@@ -722,19 +568,9 @@ void Experiment::schedule_sampler(std::size_t index, sim::Time at) {
 
 void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
   AEQ_CHECK_GT(duration, 0.0);
-  metrics_->set_warmup(warmup);
-  for (auto& shard_metrics : shard_metrics_) {
-    shard_metrics->set_warmup(warmup);
-  }
-  if (sharded_) {
-    AEQ_ASSERT_MSG(samplers_.empty(),
-                   "sample_every is not supported with shards > 1 (samplers "
-                   "read cross-shard state mid-run)");
-    // Per-shard metrics merge into metrics_ below; a second run() would
-    // double-count the first run's samples.
-    AEQ_ASSERT_MSG(!ran_, "a sharded experiment supports one run() call");
-    ran_ = true;
-  }
+  check_shard_support();
+  ran_ = true;
+  for (auto& shard_metrics : metrics_) shard_metrics->set_warmup(warmup);
   // The warmup transient (admission probabilities converging down from 1)
   // is expected turbulence, not an anomaly; going quiet after generation
   // ends is the drain working, not a stall.
@@ -745,21 +581,14 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
   run_end_ = warmup + duration;
   if (!config_.prof.empty()) start_profiling();
   const sim::Time start = now();
-  for (auto& generator : generators_) {
-    generator->run(start, run_end_);
-  }
+  generators_.run(start, run_end_);
   for (std::size_t s = 0; s < samplers_.size(); ++s) {
     schedule_sampler(s, start + samplers_[s].interval);
   }
-  if (auditor_ || !shard_auditors_.empty()) {
+  if (!auditors_.empty()) {
     AEQ_ASSERT(config_.audit_interval > 0.0);
-    if (sharded_) {
-      for (std::size_t k = 0; k < config_.shards; ++k) {
-        schedule_shard_audit(k, start + config_.audit_interval,
-                             run_end_ + drain);
-      }
-    } else {
-      schedule_audit(start + config_.audit_interval, run_end_ + drain);
+    for (std::size_t k = 0; k < auditors_.size(); ++k) {
+      schedule_audit(k, start + config_.audit_interval, run_end_ + drain);
     }
   }
   if (timeseries_ != nullptr) {
@@ -767,55 +596,36 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
     schedule_telemetry_tick(start + config_.telemetry.timeseries_width,
                             run_end_ + drain);
   }
-  if (sharded_) {
-    sharded_->run_until(run_end_);
-    if (prof_run_) prof_run_->epochs.push_back(sharded_->windows_executed());
-    // Let in-flight RPCs finish so tail percentiles include them.
-    sharded_->run_until(run_end_ + drain);
-    if (prof_run_) prof_run_->epochs.push_back(sharded_->windows_executed());
-    // Post-drain audit sweep per shard, then fold the per-shard metric
-    // sinks into the global one in shard-id order (sample-exact; see
-    // rpc::RpcMetrics::merge) and stitch the per-shard trace files.
-    for (auto& shard_auditor : shard_auditors_) shard_auditor->run_all();
-    AEQ_ASSERT_MSG(fabric_->idle(),
-                   "cross-shard mailboxes still hold packets after drain");
-    for (auto& shard_metrics : shard_metrics_) {
-      metrics_->merge(*shard_metrics);
-    }
-    for (auto& shard_recorder : shard_recorders_) {
-      shard_recorder->flush(sharded_->now());
-    }
-    if (!shard_recorders_.empty()) {
-      if (!config_.telemetry.trace.empty()) {
-        obs::merge_sharded_chrome_traces(config_.telemetry.trace,
-                                         config_.shards);
-      }
-      if (!config_.telemetry.trace_csv.empty()) {
-        obs::merge_sharded_csv_traces(config_.telemetry.trace_csv,
-                                      config_.shards);
-      }
-    }
-    if (prof_run_) finish_profiling();
-    return;
-  }
-  sim_.run_until(run_end_);
+  executive_->run_until(run_end_);
+  if (prof_run_) prof_run_->epochs.push_back(executive_->windows_executed());
   // Let in-flight RPCs finish so tail percentiles include them.
-  sim_.run_until(run_end_ + drain);
+  executive_->run_until(run_end_ + drain);
+  if (prof_run_) prof_run_->epochs.push_back(executive_->windows_executed());
   // One final sweep over the drained state (catches leaks that only show
   // once queues empty, e.g. a pool reservation that never released).
-  if (auditor_) auditor_->run_all();
-  if (recorder_) recorder_->flush(sim_.now());
-  if (prof_run_) finish_profiling();
-}
-
-double Experiment::mean_downlink_utilization() const {
-  double total = 0.0;
-  const sim::Time now = this->now();
-  if (now <= 0.0) return 0.0;
-  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    total += network_.downlink(static_cast<net::HostId>(i)).utilization(now);
+  for (auto& auditor : auditors_) auditor->run_all();
+  if (fabric_) {
+    AEQ_ASSERT_MSG(fabric_->idle(),
+                   "cross-shard mailboxes still hold packets after drain");
   }
-  return total / static_cast<double>(network_.num_hosts());
+  // Above one shard: fold the per-shard metric sinks into shard 0's in
+  // shard-id order (sample-exact; see rpc::RpcMetrics::merge) and stitch
+  // the per-shard trace files.
+  for (std::size_t k = 1; k < metrics_.size(); ++k) {
+    metrics_[0]->merge(*metrics_[k]);
+  }
+  for (auto& recorder : recorders_) recorder->flush(now());
+  if (config_.shards > 1 && !recorders_.empty()) {
+    if (!config_.telemetry.trace.empty()) {
+      obs::merge_sharded_chrome_traces(config_.telemetry.trace,
+                                       config_.shards);
+    }
+    if (!config_.telemetry.trace_csv.empty()) {
+      obs::merge_sharded_csv_traces(config_.telemetry.trace_csv,
+                                    config_.shards);
+    }
+  }
+  if (prof_run_) finish_profiling();
 }
 
 }  // namespace aeq::runner

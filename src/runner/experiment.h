@@ -22,6 +22,7 @@
 #include "policy/spec.h"
 #include "rpc/metrics.h"
 #include "rpc/rpc_stack.h"
+#include "runner/generators.h"
 #include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "topo/builders.h"
@@ -111,10 +112,11 @@ struct ExperimentConfig {
   // shards, each with its own event scheduler, advanced in conservative
   // lookahead windows on a worker pool (sim::ShardedSimulator). Same seed
   // and workload produce metrics identical to shards=1 for any value —
-  // enforced by the shard-determinism property suite. shards=1 is the
-  // plain serial executive with zero overhead. Requires a star topology;
-  // sample_every and windowed telemetry (timeseries/watchdog/flight
-  // recorder) are not yet supported above 1.
+  // enforced by the shard-determinism property suite. shards=1 runs the
+  // one shard inline on the calling thread, with no cut and no windows.
+  // Above 1 the topology must be a star; sample_every, windowed telemetry
+  // (timeseries/watchdog/flight recorder) and a second run() are not yet
+  // supported (Experiment::check_shard_support).
   std::size_t shards = 1;
 
   // Transport.
@@ -125,8 +127,7 @@ struct ExperimentConfig {
   transport::DctcpConfig dctcp;
   // ECN marking threshold applied to every queue (needed by DCTCP).
   std::uint64_t ecn_threshold_bytes = 0;
-  bool use_fixed_window = false;  // legacy alias for CcKind::kFixedWindow
-  double fixed_window_packets = 64.0;
+  double fixed_window_packets = 64.0;  // CcKind::kFixedWindow's window
 
   // Admission control: which policy every host runs, resolved through the
   // policy registry (src/policy/). The default spec is Aequitas with the
@@ -134,21 +135,6 @@ struct ExperimentConfig {
   // ("always-admit", "ticket-pool", "bandit", "swp-pacing", or anything
   // registered via policy::register_policy).
   policy::AdmissionSpec admission;
-
-  // Legacy aliases, folded into `admission` at construction (the
-  // use_fixed_window/cc_kind precedent): each may only RESTATE what the
-  // spec already says — a conflicting combination is a configuration
-  // error that aborts.
-  //   admission_factory   -> admission.factory
-  //   enable_aequitas     -> admission.kind ("aequitas"/"always-admit")
-  //   alpha, beta_per_mtu, p_admit_floor -> admission.aequitas.*
-  std::function<std::unique_ptr<rpc::AdmissionController>(
-      sim::Simulator&, net::HostId, sim::Rng)>
-      admission_factory;
-  bool enable_aequitas = true;
-  double alpha = 0.01;
-  double beta_per_mtu = 0.01;
-  double p_admit_floor = 0.01;
   rpc::SloConfig slo;  // required (also drives SLO-met accounting)
 
   // Invariant auditing (src/audit/): when set, the experiment registers the
@@ -160,12 +146,8 @@ struct ExperimentConfig {
   bool audit = audit::kBuildEnabled;
   sim::Time audit_interval = 50 * sim::kUsec;
 
-  // Telemetry (src/obs/): see TelemetrySpec. `trace` / `trace_csv` are
-  // legacy aliases for telemetry.trace / telemetry.trace_csv, folded into
-  // the spec at construction.
+  // Telemetry (src/obs/): see TelemetrySpec.
   TelemetrySpec telemetry;
-  std::string trace;
-  std::string trace_csv;
 
   // Execution profiling (src/obs/prof/, DESIGN.md §14): when non-empty,
   // run() attributes cycle cost per component into this JSON report path
@@ -190,34 +172,35 @@ class Experiment {
   explicit Experiment(const ExperimentConfig& config);
   ~Experiment();
 
-  // The serial executive; only meaningful when config().shards == 1 (a
-  // sharded experiment runs on shard simulators instead — see sharded()).
-  sim::Simulator& simulator() { return sim_; }
+  // Shard 0's simulator: the whole run when config().shards == 1.
+  sim::Simulator& simulator() { return executive_->shard(0); }
 
-  // The parallel executive; null when config().shards == 1.
-  sim::ShardedSimulator* sharded() { return sharded_.get(); }
+  // The parallel executive; null when config().shards == 1 (the one shard
+  // then runs inline and has no windows or barriers to report).
+  sim::ShardedSimulator* sharded() {
+    return fabric_ ? executive_.get() : nullptr;
+  }
 
   // The cross-shard packet fabric; null when config().shards == 1.
   net::ShardFabric* shard_fabric() { return fabric_.get(); }
 
-  // Current simulated time / total events dispatched, valid in both modes.
-  sim::Time now() const {
-    return sharded_ ? sharded_->now() : sim_.now();
-  }
+  // Current simulated time / total events dispatched.
+  sim::Time now() const { return executive_->now(); }
   std::uint64_t events_processed() const {
-    return sharded_ ? sharded_->events_processed() : sim_.events_processed();
+    return executive_->events_processed();
   }
 
-  // Merged schedule digest, valid in both modes; all-zero counts unless
-  // config().schedule_digest was set. Its canonical() form is invariant
-  // across backends, shard counts, and address-space layouts for a fixed
-  // seed (DESIGN.md §12).
+  // Merged schedule digest; all-zero counts unless config().schedule_digest
+  // was set. Its canonical() form is invariant across backends, shard
+  // counts, and address-space layouts for a fixed seed (DESIGN.md §12).
   sim::ScheduleDigest schedule_digest() const {
-    return sharded_ ? sharded_->schedule_digest() : sim_.schedule_digest();
+    return executive_->schedule_digest();
   }
 
   topo::Network& network() { return network_; }
-  rpc::RpcMetrics& metrics() { return *metrics_; }
+  // The run's RPC metrics. Above one shard each shard records into its own
+  // sink and run() folds them in here, so read it after run().
+  rpc::RpcMetrics& metrics() { return *metrics_[0]; }
   rpc::RpcStack& stack(net::HostId id) {
     return *stacks_.at(static_cast<std::size_t>(id));
   }
@@ -243,20 +226,19 @@ class Experiment {
 
   const ExperimentConfig& config() const { return config_; }
 
-  // The invariant-audit registry; null when ExperimentConfig::audit is off.
-  // A sharded experiment audits per shard instead — see shard_auditor().
-  audit::Auditor* auditor() { return auditor_.get(); }
-
-  // Shard k's audit registry (sharded mode with audit on; null otherwise).
-  // Each shard audits exactly its own components so mid-run checks never
-  // read another shard's in-flight state.
-  audit::Auditor* shard_auditor(std::size_t k) {
-    return k < shard_auditors_.size() ? shard_auditors_[k].get() : nullptr;
+  // Shard k's invariant-audit registry; null when ExperimentConfig::audit
+  // is off. Each shard audits exactly its own components so mid-run checks
+  // never read another shard's in-flight state.
+  audit::Auditor* auditor(std::size_t k = 0) {
+    return k < auditors_.size() ? auditors_[k].get() : nullptr;
   }
 
-  // The telemetry recorder; null unless some TelemetrySpec output is set.
-  // Extra sinks (e.g. obs::CounterSink) may be attached before run().
-  obs::Recorder* tracing() { return recorder_.get(); }
+  // Shard 0's telemetry recorder (the only one when config().shards == 1);
+  // null unless some TelemetrySpec output is set. Extra sinks (e.g.
+  // obs::CounterSink) may be attached before run().
+  obs::Recorder* tracing() {
+    return recorders_.empty() ? nullptr : recorders_[0].get();
+  }
 
   // The windowed-telemetry components; null unless the spec enables them.
   obs::TimeseriesSink* timeseries() { return timeseries_; }
@@ -269,17 +251,15 @@ class Experiment {
   // already enable telemetry.
   void enable_telemetry(const TelemetrySpec& spec);
 
-  // Legacy alias: enable_telemetry with just trace / trace_csv set.
-  void trace_to(const std::string& chrome_json,
-                const std::string& csv = "");
-
   // Post-construction equivalent of setting ExperimentConfig::prof. Must
   // be called before run(); at most one profile path per experiment.
   void enable_profiling(const std::string& path);
 
   // Registers and owns a size distribution for the experiment's lifetime.
   const workload::SizeDistribution* own(
-      std::unique_ptr<workload::SizeDistribution> dist);
+      std::unique_ptr<workload::SizeDistribution> dist) {
+    return generators_.own(std::move(dist));
+  }
 
   // Attaches a generator to host `id`; destinations default to uniform
   // all-to-all.
@@ -298,22 +278,26 @@ class Experiment {
   void sample_every(sim::Time interval, std::function<void(sim::Time)> fn);
 
   // Aggregate utilization of all host downlinks over [0, now].
-  double mean_downlink_utilization() const;
+  double mean_downlink_utilization() const {
+    return network_.mean_downlink_utilization(now());
+  }
 
  private:
-  void resolve_admission_spec();
+  // Aborts on any configuration the K>1 executive does not support: a
+  // non-star topology, windowed telemetry or a flight recorder,
+  // sample_every, or a second run(). A no-op at K=1.
+  void check_shard_support() const;
   void schedule_sampler(std::size_t index, sim::Time at);
   void register_audit_checks();
-  void register_shard_audit_checks();
-  void schedule_audit(sim::Time at, sim::Time end);
-  void schedule_shard_audit(std::size_t k, sim::Time at, sim::Time end);
-  void wire_shard_telemetry();
-  // The executive a given host's components schedule into.
-  sim::Simulator& host_simulator(net::HostId id) {
-    return sharded_ ? sharded_->shard(fabric_->shard_of(id)) : sim_;
+  void schedule_audit(std::size_t k, sim::Time at, sim::Time end);
+  // The shard that owns host `id`, and the one that owns fabric switch `s`
+  // (build_sharded_star builds one switch per shard, in shard order).
+  std::size_t shard_of(net::HostId id) const {
+    return fabric_ ? fabric_->shard_of(id) : 0;
   }
-  rpc::RpcMetrics& host_metrics(net::HostId id) {
-    return sharded_ ? *shard_metrics_[fabric_->shard_of(id)] : *metrics_;
+  std::size_t shard_of_switch(std::size_t s) const { return fabric_ ? s : 0; }
+  sim::Simulator& host_simulator(net::HostId id) {
+    return executive_->shard(shard_of(id));
   }
   void schedule_telemetry_tick(sim::Time at, sim::Time end);
   void wire_telemetry();
@@ -327,31 +311,27 @@ class Experiment {
   static void failure_dump(void* self);
 
   ExperimentConfig config_;
-  sim::Simulator sim_;
-  // Sharded-mode state (config_.shards > 1): the parallel executive, the
-  // cross-shard mailbox fabric, and per-shard metrics sinks merged into
-  // metrics_ after the run.
-  std::unique_ptr<sim::ShardedSimulator> sharded_;
+  // The executive, and the cross-shard mailbox fabric (K>1 only: with no
+  // cut, routing every packet through a mailbox would only add a handoff).
+  std::unique_ptr<sim::ShardedSimulator> executive_;
   std::unique_ptr<net::ShardFabric> fabric_;
-  std::vector<std::unique_ptr<rpc::RpcMetrics>> shard_metrics_;
-  std::vector<std::unique_ptr<audit::Auditor>> shard_auditors_;
-  std::vector<std::unique_ptr<obs::Recorder>> shard_recorders_;
   bool ran_ = false;
   topo::Network network_;
-  std::unique_ptr<audit::Auditor> auditor_;
-  std::unique_ptr<obs::Recorder> recorder_;
-  obs::TimeseriesSink* timeseries_ = nullptr;  // owned by recorder_
-  obs::FlightRecorder* flight_ = nullptr;      // owned by recorder_
+  // Per-shard sinks, indexed by shard. Above one shard run() folds every
+  // metrics sink into metrics_[0] and merges the recorders' trace files.
+  std::vector<std::unique_ptr<rpc::RpcMetrics>> metrics_;
+  std::vector<std::unique_ptr<audit::Auditor>> auditors_;
+  std::vector<std::unique_ptr<obs::Recorder>> recorders_;
+  obs::TimeseriesSink* timeseries_ = nullptr;  // owned by recorders_[0]
+  obs::FlightRecorder* flight_ = nullptr;      // owned by recorders_[0]
   std::unique_ptr<obs::Watchdog> watchdog_;
   std::ofstream watchdog_log_file_;
   std::ostream* watchdog_log_ = nullptr;
   bool flight_dumped_ = false;
-  std::unique_ptr<rpc::RpcMetrics> metrics_;
   std::vector<std::unique_ptr<transport::HostStack>> host_stacks_;
   std::vector<std::unique_ptr<rpc::AdmissionController>> controllers_;
   std::vector<std::unique_ptr<rpc::RpcStack>> stacks_;
-  std::vector<std::unique_ptr<workload::TrafficGenerator>> generators_;
-  std::vector<std::unique_ptr<workload::SizeDistribution>> owned_dists_;
+  Generators generators_;
   struct Sampler {
     sim::Time interval;
     std::function<void(sim::Time)> fn;
@@ -360,18 +340,18 @@ class Experiment {
   sim::Time run_end_ = 0.0;
 
   // Live profiling state for the current run() (config_.prof non-empty):
-  // the main-thread collector (serial loop, or the sharded coordinator's
-  // barrier drains and post-run sweeps), per-shard worker collectors, the
-  // opening calibration point, and the executive's cumulative window
-  // counts at each run-phase boundary.
+  // one collector per shard (shard 0's runs on the calling thread at K=1),
+  // the K>1 coordinator's collector for barrier drains and post-run
+  // sweeps, the opening calibration point, and the executive's cumulative
+  // window counts at each run-phase boundary.
   struct ProfRun {
-    obs::prof::Collector main;
     std::vector<std::unique_ptr<obs::prof::Collector>> shard_collectors;
+    obs::prof::Collector coordinator;
     obs::prof::Calibration begin;
     std::vector<std::uint64_t> epochs;
-    // Serial runs may call run() repeatedly; the report counts only the
-    // events dispatched inside this profiled run.
-    std::uint64_t events_at_start = 0;
+    // A K=1 experiment may call run() repeatedly; the report counts only
+    // the events dispatched inside this profiled run.
+    std::vector<std::uint64_t> events_at_start;
   };
   std::unique_ptr<ProfRun> prof_run_;
 };

@@ -131,42 +131,19 @@ ProtocolExperiment::ProtocolExperiment(
   }
 }
 
-const workload::SizeDistribution* ProtocolExperiment::own(
-    std::unique_ptr<workload::SizeDistribution> dist) {
-  owned_dists_.push_back(std::move(dist));
-  return owned_dists_.back().get();
-}
-
 workload::TrafficGenerator& ProtocolExperiment::add_generator(
     net::HostId id, const workload::GeneratorConfig& generator_config,
     workload::DestinationPicker picker) {
-  if (!picker) {
-    picker = workload::uniform_destinations(network_.num_hosts(), id);
-  }
-  sim::Rng rng(config_.seed * 7919 + static_cast<std::uint64_t>(id) + 1);
-  generators_.push_back(std::make_unique<workload::TrafficGenerator>(
-      sim_, stack(id), std::move(picker), generator_config, rng));
-  return *generators_.back();
+  return generators_.add(sim_, stack(id), network_.num_hosts(), id,
+                         config_.seed, generator_config, std::move(picker));
 }
 
 void ProtocolExperiment::run(sim::Time warmup, sim::Time duration,
                              sim::Time drain) {
   metrics_->set_warmup(warmup);
-  for (auto& generator : generators_) {
-    generator->run(sim_.now(), warmup + duration);
-  }
+  generators_.run(sim_.now(), warmup + duration);
   sim_.run_until(warmup + duration);
   sim_.run_until(warmup + duration + drain);
-}
-
-double ProtocolExperiment::mean_downlink_utilization() const {
-  double total = 0.0;
-  const sim::Time now = sim_.now();
-  if (now <= 0.0) return 0.0;
-  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    total += network_.downlink(static_cast<net::HostId>(i)).utilization(now);
-  }
-  return total / static_cast<double>(network_.num_hosts());
 }
 
 double ProtocolExperiment::goodput_utilization() const {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/queue_factory.h"
@@ -15,6 +16,7 @@
 #include "protocols/qjump.h"
 #include "rpc/metrics.h"
 #include "rpc/rpc_stack.h"
+#include "runner/generators.h"
 #include "sim/simulator.h"
 #include "topo/builders.h"
 #include "workload/generator.h"
@@ -60,7 +62,9 @@ class ProtocolExperiment {
   protocols::DeadlineFabric* fabric() { return fabric_.get(); }
 
   const workload::SizeDistribution* own(
-      std::unique_ptr<workload::SizeDistribution> dist);
+      std::unique_ptr<workload::SizeDistribution> dist) {
+    return generators_.own(std::move(dist));
+  }
   workload::TrafficGenerator& add_generator(
       net::HostId id, const workload::GeneratorConfig& generator_config,
       workload::DestinationPicker picker = nullptr);
@@ -74,7 +78,9 @@ class ProtocolExperiment {
   // Fraction of [0, now] the host downlinks spent transmitting — the
   // "achieved vs maximum goodput" proxy used for Figure 22 (terminated
   // flows leave the links idle).
-  double mean_downlink_utilization() const;
+  double mean_downlink_utilization() const {
+    return network_.mean_downlink_utilization(sim_.now());
+  }
 
  private:
   ProtocolExperimentConfig config_;
@@ -85,8 +91,7 @@ class ProtocolExperiment {
   rpc::AlwaysAdmit admission_;
   std::vector<std::unique_ptr<transport::MessageTransport>> transports_;
   std::vector<std::unique_ptr<rpc::RpcStack>> stacks_;
-  std::vector<std::unique_ptr<workload::TrafficGenerator>> generators_;
-  std::vector<std::unique_ptr<workload::SizeDistribution>> owned_dists_;
+  Generators generators_;
 };
 
 }  // namespace aeq::runner

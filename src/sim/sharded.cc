@@ -51,7 +51,7 @@ ShardedSimulator::ShardedSimulator(std::size_t num_shards,
                                    SchedulerBackend backend, Time lookahead)
     : lookahead_(lookahead) {
   AEQ_CHECK_GE(num_shards, 1u);
-  AEQ_ASSERT_MSG(lookahead_ > 0.0,
+  AEQ_ASSERT_MSG(num_shards == 1 || lookahead_ > 0.0,
                  "conservative sharding needs a positive lookahead (a "
                  "zero-latency cross-shard link would serialize the run)");
   shards_.reserve(num_shards);
@@ -62,6 +62,7 @@ ShardedSimulator::ShardedSimulator(std::size_t num_shards,
     const util::MutexLock lock(mutex_);
     shard_exec_.resize(num_shards);
   }
+  if (serial()) return;  // shard 0 runs inline on the caller
   workers_.reserve(num_shards);
   for (std::size_t k = 0; k < num_shards; ++k) {
     workers_.emplace_back([this, k] { worker_loop(k); });
@@ -72,6 +73,10 @@ void ShardedSimulator::set_profiling(
     std::vector<obs::prof::Collector*> collectors) {
   AEQ_ASSERT_MSG(collectors.empty() || collectors.size() == shards_.size(),
                  "set_profiling needs one collector per shard (or none)");
+  if (serial()) {
+    obs::prof::install(collectors.empty() ? nullptr : collectors[0]);
+    return;
+  }
   const util::MutexLock lock(mutex_);
   collectors_ = std::move(collectors);
   profiling_ = !collectors_.empty();
@@ -164,6 +169,10 @@ void ShardedSimulator::parallel_window(Time horizon) {
 }
 
 void ShardedSimulator::run_until(Time t_end) {
+  if (serial()) {
+    shards_[0]->run_until(t_end);
+    return;
+  }
   AEQ_CHECK_GE(t_end, now_);
   for (;;) {
     // Safe horizon: the earliest pending event anywhere, plus lookahead.

@@ -32,6 +32,10 @@
 // shard's Simulator dispatches exactly as it would serially. Same seed ⇒
 // same schedule ⇒ same metrics, for any shard count (property-tested in
 // tests/sharded_test.cc).
+//
+// One shard is the serial executive: shard 0 runs inline on the calling
+// thread, with no worker thread, no windows and no barrier callback, so a
+// K=1 run dispatches exactly what a bare Simulator would.
 #pragma once
 
 #include <array>
@@ -96,8 +100,9 @@ struct ExecutiveStats {
 
 class ShardedSimulator {
  public:
-  // `lookahead` must be strictly positive: it is the window depth, and a
-  // zero-lookahead cut would serialize the shards one event at a time.
+  // With more than one shard `lookahead` must be strictly positive: it is
+  // the window depth, and a zero-lookahead cut would serialize the shards
+  // one event at a time. One shard has no cut, so any lookahead is ignored.
   ShardedSimulator(std::size_t num_shards, SchedulerBackend backend,
                    Time lookahead);
   ~ShardedSimulator();
@@ -112,16 +117,19 @@ class ShardedSimulator {
   // Invoked on the coordinator thread after every window, with all workers
   // parked: the only place cross-shard state may move. The callback may
   // schedule new events into any shard (at times >= the window horizon).
+  // Never invoked with one shard.
   void set_barrier_callback(std::function<void()> fn) {
     barrier_callback_ = std::move(fn);
   }
 
   // Advances every shard to exactly `t_end` (their clocks end equal), in
   // conservative windows. Callable repeatedly with increasing targets.
+  // With one shard this is shard 0's own run_until.
   void run_until(Time t_end);
 
-  // Simulated time every shard has reached (between run_until calls).
-  Time now() const { return now_; }
+  // Simulated time every shard has reached (between run_until calls). With
+  // one shard it is shard 0's clock, live inside its handlers too.
+  Time now() const { return serial() ? shards_[0]->now() : now_; }
 
   // Sum of events dispatched across shards. With audit and telemetry off
   // this equals the serial run's count — the cross-shard handoff path
@@ -134,17 +142,19 @@ class ShardedSimulator {
 
   // Number of lookahead windows executed (barrier count), for perf
   // diagnostics: events_processed / windows_executed is the parallelism
-  // grain the cut achieved.
+  // grain the cut achieved. Always 0 with one shard.
   std::uint64_t windows_executed() const { return windows_; }
 
   // Schedule digest across all shards (sim/digest.h). Shards dispatch
   // concurrently, so the merged digest folds the per-shard commutative
   // accumulators; its canonical() equals the serial run's for the same
-  // seed. Call only between run_until calls (workers parked).
+  // seed. With one shard it is shard 0's digest, ordered fold included.
+  // Call only between run_until calls (workers parked).
   void enable_schedule_digest() {
     for (auto& shard : shards_) shard->enable_schedule_digest();
   }
   ScheduleDigest schedule_digest() const {
+    if (serial()) return shards_[0]->schedule_digest();
     ScheduleDigest merged;
     for (const auto& shard : shards_) merged.merge(shard->schedule_digest());
     return merged;
@@ -153,9 +163,10 @@ class ShardedSimulator {
   // Profiling handover: `collectors` (one per shard, or empty to disable)
   // are installed as each worker's thread-local profiler collector for
   // subsequent windows, and per-shard busy/wait cycle accounting turns on.
-  // Observe-only — enabling this cannot change the schedule. Call only
-  // between run_until calls (workers parked); the pool mutex publishes the
-  // pointers to the workers.
+  // With one shard the collector is installed on the calling thread, which
+  // runs shard 0. Observe-only — enabling this cannot change the schedule.
+  // Call only between run_until calls (workers parked); the pool mutex
+  // publishes the pointers to the workers.
   void set_profiling(std::vector<obs::prof::Collector*> collectors);
 
   // Executive introspection snapshot. Window counts and the window-size
@@ -165,6 +176,7 @@ class ShardedSimulator {
   ExecutiveStats executive_stats();
 
  private:
+  bool serial() const { return shards_.size() == 1; }
   // Runs every shard to `horizon` on the worker pool and waits for all.
   void parallel_window(Time horizon);
   void worker_loop(std::size_t k);

@@ -18,4 +18,13 @@ net::Switch* Network::add_switch(std::unique_ptr<net::Switch> sw) {
   return switches_.back().get();
 }
 
+double Network::mean_downlink_utilization(sim::Time now) const {
+  if (now <= 0.0) return 0.0;
+  double total = 0.0;
+  for (std::size_t i = 0; i < num_hosts(); ++i) {
+    total += downlink(static_cast<net::HostId>(i)).utilization(now);
+  }
+  return total / static_cast<double>(num_hosts());
+}
+
 }  // namespace aeq::topo

@@ -42,6 +42,9 @@ class Network {
     return *downlinks_.at(static_cast<std::size_t>(id));
   }
 
+  // Mean utilization of the host downlinks over [0, now]; 0 at time 0.
+  double mean_downlink_utilization(sim::Time now) const;
+
   // A shared buffer pool together with the (pooled) queues drawing on it,
   // recorded by the topology builders so the audit layer can state pool
   // conservation: pool.used == sum of member backlogs.

@@ -17,7 +17,7 @@ runner::ExperimentConfig small_config() {
   config.num_hosts = 3;
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
-  config.enable_aequitas = false;
+  config.admission.kind = policy::kAlwaysAdmit;
   config.slo = rpc::SloConfig::make({15.0 / 8 * sim::kUsec, 0.0}, 99.9);
   return config;
 }

@@ -53,7 +53,6 @@ TEST(ShardMergeTest, PortTracksStayDistinctAcrossShards) {
   config.scheduler_backend = sim::SchedulerBackend::kCalendar;
   config.num_hosts = 8;
   config.num_qos = 3;
-  config.enable_aequitas = true;
   config.slo = rpc::SloConfig::make(
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
   config.shards = kShards;
@@ -63,7 +62,9 @@ TEST(ShardMergeTest, PortTracksStayDistinctAcrossShards) {
   const std::string trace_path =
       ::testing::TempDir() + "shard_merge_trace.json";
   runner::Experiment experiment(config);
-  experiment.trace_to(trace_path, "");
+  runner::TelemetrySpec spec;
+  spec.trace = trace_path;
+  experiment.enable_telemetry(spec);
   const auto* sizes = experiment.own(
       std::make_unique<workload::FixedSize>(16 * sim::kKiB));
   for (std::size_t h = 0; h < config.num_hosts; ++h) {
@@ -112,7 +113,6 @@ TEST(ShardMergeTest, MergedTraceUsesSingleSinkFramingAndRemovesInputs) {
   config.scheduler_backend = sim::SchedulerBackend::kCalendar;
   config.num_hosts = 4;
   config.num_qos = 3;
-  config.enable_aequitas = true;
   config.slo = rpc::SloConfig::make(
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
   config.shards = kShards;
@@ -122,7 +122,9 @@ TEST(ShardMergeTest, MergedTraceUsesSingleSinkFramingAndRemovesInputs) {
   const std::string trace_path =
       ::testing::TempDir() + "shard_merge_framing.json";
   runner::Experiment experiment(config);
-  experiment.trace_to(trace_path, "");
+  runner::TelemetrySpec spec;
+  spec.trace = trace_path;
+  experiment.enable_telemetry(spec);
   const auto* sizes = experiment.own(
       std::make_unique<workload::FixedSize>(16 * sim::kKiB));
   workload::GeneratorConfig gen;

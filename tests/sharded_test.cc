@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -102,6 +103,33 @@ TEST(ShardedSimulatorTest, RepeatedRunUntilAdvancesMonotonically) {
   sharded.run_until(8.0);
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(sharded.now(), 8.0);
+}
+
+// One shard is the serial executive: shard 0 runs inline on the caller's
+// thread, with no windows and no barrier callback.
+TEST(ShardedSimulatorTest, OneShardRunsInlineOnTheCallingThread) {
+  sim::ShardedSimulator sharded(1, sim::SchedulerBackend::kCalendar,
+                                /*lookahead=*/0.0);
+  bool barrier_called = false;
+  sharded.set_barrier_callback([&barrier_called] { barrier_called = true; });
+  std::vector<std::thread::id> handler_threads;
+  for (int i = 1; i <= 3; ++i) {
+    sharded.shard(0).schedule_at(static_cast<double>(i), [&] {
+      handler_threads.push_back(std::this_thread::get_id());
+      EXPECT_DOUBLE_EQ(sharded.now(), sharded.shard(0).now());
+    });
+  }
+  sharded.run_until(2.5);
+  EXPECT_DOUBLE_EQ(sharded.now(), 2.5);
+  sharded.run_until(10.0);
+  ASSERT_EQ(handler_threads.size(), 3u);
+  for (const std::thread::id id : handler_threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(sharded.windows_executed(), 0u);
+  EXPECT_FALSE(barrier_called);
+  EXPECT_EQ(sharded.events_processed(), 3u);
+  EXPECT_DOUBLE_EQ(sharded.now(), 10.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,7 +218,6 @@ runner::ExperimentConfig sharded_config(std::size_t shards,
   config.scheduler_backend = backend;
   config.num_hosts = 8;
   config.num_qos = 3;
-  config.enable_aequitas = true;
   config.slo = rpc::SloConfig::make(
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
   config.shards = shards;
@@ -230,18 +257,66 @@ RunResult run_mixed_workload(std::size_t shards,
   if (experiment.shard_fabric() != nullptr) {
     result.cross_shard = experiment.shard_fabric()->cross_shard_packets();
   }
-  if (shards == 1) {
-    if (experiment.auditor() != nullptr) {
-      result.audit_passes = experiment.auditor()->passes();
-    }
-  } else {
-    for (std::size_t k = 0; k < shards; ++k) {
-      if (experiment.shard_auditor(k) != nullptr) {
-        result.audit_passes += experiment.shard_auditor(k)->passes();
-      }
+  for (std::size_t k = 0; k < shards; ++k) {
+    if (experiment.auditor(k) != nullptr) {
+      result.audit_passes += experiment.auditor(k)->passes();
     }
   }
   return result;
+}
+
+// ---------------------------------------------------------------------------
+// The K>1 envelope (Experiment::check_shard_support)
+// ---------------------------------------------------------------------------
+
+class ShardSupportDeathTest : public ::testing::Test {
+ protected:
+  // Shard workers are running by the time most checks fire.
+  void SetUp() override {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  }
+
+  static runner::ExperimentConfig two_shards() {
+    return sharded_config(2, sim::SchedulerBackend::kCalendar,
+                          /*audit=*/false);
+  }
+};
+
+TEST_F(ShardSupportDeathTest, LeafSpineDies) {
+  auto config = two_shards();
+  config.use_leaf_spine = true;
+  EXPECT_DEATH(runner::Experiment experiment(config), "star topologies");
+}
+
+TEST_F(ShardSupportDeathTest, TimeseriesDies) {
+  auto config = two_shards();
+  config.telemetry.timeseries_csv = ::testing::TempDir() + "shard_ts.csv";
+  EXPECT_DEATH(runner::Experiment experiment(config), "windowed telemetry");
+}
+
+TEST_F(ShardSupportDeathTest, WatchdogDies) {
+  runner::Experiment experiment(two_shards());
+  runner::TelemetrySpec spec;
+  spec.watchdog = true;
+  EXPECT_DEATH(experiment.enable_telemetry(spec), "windowed telemetry");
+}
+
+TEST_F(ShardSupportDeathTest, FlightRecorderDies) {
+  auto config = two_shards();
+  config.telemetry.flight_recorder = ::testing::TempDir() + "shard_fr.json";
+  EXPECT_DEATH(runner::Experiment experiment(config), "windowed telemetry");
+}
+
+TEST_F(ShardSupportDeathTest, SampleEveryDies) {
+  runner::Experiment experiment(two_shards());
+  EXPECT_DEATH(experiment.sample_every(10 * sim::kUsec, [](sim::Time) {}),
+               "sample_every");
+}
+
+TEST_F(ShardSupportDeathTest, SecondRunDies) {
+  runner::Experiment experiment(two_shards());
+  experiment.run(0.0, 10 * sim::kUsec, 0.0);
+  EXPECT_DEATH(experiment.run(0.0, 10 * sim::kUsec, 0.0), "one run\\(\\)");
 }
 
 class ShardDeterminismTest

@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 
+#include "bench/bench_util.h"
 #include "net/fifo_queue.h"
 #include "runner/experiment.h"
 #include "stats/export.h"
@@ -121,7 +122,7 @@ TEST(TraceTest, ReplayIssuesThroughStacks) {
   runner::ExperimentConfig config;
   config.num_hosts = 3;
   config.num_qos = 3;
-  config.enable_aequitas = false;
+  config.admission.kind = policy::kAlwaysAdmit;
   config.slo = rpc::SloConfig::make(
       {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
   runner::Experiment experiment(config);
@@ -165,6 +166,24 @@ TEST(FlagsTest, ReportsUnusedAndErrors) {
   tools::Flags broken;
   EXPECT_FALSE(broken.parse(2, const_cast<char**>(bad)));
   EXPECT_FALSE(broken.error().empty());
+}
+
+// A shard count below 1 is a usage error, not a silent serial run (0) or
+// a wrapped size_t that aborts deep in the harness (-1).
+TEST(BenchArgsDeathTest, ShardsBelowOneExitsWithUsageError) {
+  for (const char* shards : {"--shards=0", "--shards=-1"}) {
+    SCOPED_TRACE(shards);
+    const char* argv[] = {"bench", shards};
+    EXPECT_EXIT(bench::parse_args(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2), "--shards");
+  }
+}
+
+TEST(BenchArgsTest, ShardsDefaultToOne) {
+  const char* argv[] = {"bench"};
+  EXPECT_EQ(bench::parse_args(1, const_cast<char**>(argv)).shards, 1u);
+  const char* four[] = {"bench", "--shards=4"};
+  EXPECT_EQ(bench::parse_args(2, const_cast<char**>(four)).shards, 4u);
 }
 
 TEST(DctcpTest, CutProportionalToMarkedFraction) {
@@ -221,7 +240,6 @@ TEST(EcnTest, DctcpExperimentRunsEndToEnd) {
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
   config.cc_kind = runner::ExperimentConfig::CcKind::kDctcp;
-  config.enable_aequitas = true;
   config.slo = rpc::SloConfig::make({25.0 / 8 * sim::kUsec, 0.0}, 99.9);
   runner::Experiment experiment(config);
   const auto* sizes = experiment.own(
