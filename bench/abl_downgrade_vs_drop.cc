@@ -86,7 +86,7 @@ std::vector<std::string> parse_kinds(const std::string& controller) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args = bench::parse_args(argc, argv, {"controller"});
   const std::string controller = args.flags.get("controller");
   std::vector<std::string> kinds = parse_kinds(controller);
   for (const std::string& kind : kinds) {

@@ -11,10 +11,12 @@
 // byte-identical to `--jobs 1`.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -123,9 +125,11 @@ struct TraceRequest {
 //                   wire args.shards into their config)
 //   --schedule-digest  print the canonical schedule digest (sim/digest.h)
 //                   per point — the fingerprint of the dispatched event
-//                   schedule. Identical across backends, shard counts, and
+//                   schedule. Identical across shard counts and
 //                   address-space layouts for a fixed seed (DESIGN.md §12);
 //                   needs an AEQ_SCHED_DIGEST=ON build (the default).
+// Any other flag is a usage error (exit 2) unless the bench names it in
+// parse_args' `extra_flags` and reads it from BenchArgs::flags itself.
 struct BenchArgs {
   runner::SweepOptions sweep;
   std::string csv_path;
@@ -137,7 +141,9 @@ struct BenchArgs {
   bool machine_started = false;  // first emit truncates, later ones append
 };
 
-inline BenchArgs parse_args(int argc, char** argv) {
+inline BenchArgs parse_args(int argc, char** argv,
+                            std::initializer_list<const char*> extra_flags =
+                                {}) {
   BenchArgs args;
   if (!args.flags.parse(argc, argv)) {
     std::fprintf(stderr, "%s: %s\n", argv[0], args.flags.error().c_str());
@@ -169,6 +175,15 @@ inline BenchArgs parse_args(int argc, char** argv) {
   args.trace.flight_recorder = args.flags.get("flight-recorder");
   args.trace.prof = args.flags.get("prof");
   args.trace.point = static_cast<int>(args.flags.get_int("trace-point", 0));
+  // A mistyped flag (say --shard=4) must not silently run the default.
+  for (const std::string& name : args.flags.unused()) {
+    if (std::find(extra_flags.begin(), extra_flags.end(), name) !=
+        extra_flags.end()) {
+      continue;
+    }
+    std::fprintf(stderr, "%s: unknown flag --%s\n", argv[0], name.c_str());
+    std::exit(2);
+  }
   return args;
 }
 

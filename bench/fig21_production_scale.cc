@@ -15,7 +15,11 @@
 //   --warmup-ms W  warmup before measurement (default 10)
 //   --run-ms R     measured interval (default 12); CI smokes use shorter
 //                  intervals to bound wall-clock time
+// Fewer than 2 hosts, fewer hosts than shards or a negative duration exits
+// 2 before anything is built.
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 
 #include "bench/bench_util.h"
@@ -87,17 +91,43 @@ runner::PointResult run(const Fig21Params& params, bool with_aequitas,
   return result;
 }
 
+// Reads a non-negative duration flag; anything else is a usage error.
+double duration_ms(const bench::BenchArgs& args, const char* argv0,
+                   const char* name, double fallback) {
+  const double value = args.flags.get_double(name, fallback);
+  if (!(value >= 0.0)) {
+    std::fprintf(stderr, "%s: --%s must be a non-negative duration (got %g)\n",
+                 argv0, name, value);
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"hosts", "warmup-ms", "run-ms"});
   Fig21Params params;
-  params.hosts =
-      static_cast<std::size_t>(args.flags.get_int("hosts", 144));
+  const std::int64_t hosts = args.flags.get_int("hosts", 144);
+  if (hosts < 2) {
+    std::fprintf(stderr, "%s: --hosts must be at least 2 (got %lld)\n",
+                 argv[0], static_cast<long long>(hosts));
+    return 2;
+  }
+  if (static_cast<std::uint64_t>(hosts) < args.shards) {
+    std::fprintf(stderr,
+                 "%s: --hosts must be at least --shards (got %lld hosts, "
+                 "%zu shards)\n",
+                 argv[0], static_cast<long long>(hosts), args.shards);
+    return 2;
+  }
+  params.hosts = static_cast<std::size_t>(hosts);
   params.shards = args.shards;
   params.schedule_digest = args.schedule_digest;
-  params.warmup_ms = args.flags.get_double("warmup-ms", params.warmup_ms);
-  params.run_ms = args.flags.get_double("run-ms", params.run_ms);
+  params.warmup_ms =
+      duration_ms(args, argv[0], "warmup-ms", params.warmup_ms);
+  params.run_ms = duration_ms(args, argv[0], "run-ms", params.run_ms);
 
   char title[160];
   std::snprintf(title, sizeof(title),

@@ -201,8 +201,7 @@ std::string summarize_gauges(const rpc::AdmissionController& controller) {
   return out.empty() ? "-" : out;
 }
 
-PolicyRow run_policy(const std::string& kind, sim::SchedulerBackend backend,
-                     double load, std::uint64_t seed,
+PolicyRow run_policy(const std::string& kind, double load, std::uint64_t seed,
                      const bench::TraceRequest& trace, int point) {
   runner::ExperimentConfig config;
   config.num_hosts = 33;
@@ -211,7 +210,6 @@ PolicyRow run_policy(const std::string& kind, sim::SchedulerBackend backend,
   config.admission.kind = kind;
   config.slo = make_slo();
   config.seed = seed;
-  config.scheduler_backend = backend;
   runner::Experiment experiment(config);
   trace.apply(experiment, point);
   attach_workload(experiment, false, load);
@@ -272,16 +270,6 @@ int run_shootout(bench::BenchArgs& args, const std::string& controller) {
     }
   }
 
-  const std::string backend_flag = args.flags.get("backend");
-  sim::SchedulerBackend backend = sim::SchedulerBackend::kCalendar;
-  if (backend_flag == "heap") {
-    backend = sim::SchedulerBackend::kHeap;
-  } else if (!backend_flag.empty() && backend_flag != "calendar") {
-    std::fprintf(stderr, "unknown --backend \"%s\" (heap|calendar)\n",
-                 backend_flag.c_str());
-    return 1;
-  }
-
   bench::print_header("Admission-policy shoot-out",
                       "33-node, production sizes, input mix 50/30/20, "
                       "normalized SLO 3/6us per MTU; every policy runs the "
@@ -290,10 +278,9 @@ int run_shootout(bench::BenchArgs& args, const std::string& controller) {
   int point = 0;
   for (const double load : loads) {
     for (const std::string& kind : kinds) {
-      sweep.submit([kind, backend, load, trace = args.trace,
+      sweep.submit([kind, load, trace = args.trace,
                     p = point++](const runner::PointContext& ctx) {
-        const PolicyRow result =
-            run_policy(kind, backend, load, ctx.seed, trace, p);
+        const PolicyRow result = run_policy(kind, load, ctx.seed, trace, p);
         return runner::PointResult::single(
             {result.row.name, load, result.row.met_h, result.row.met_m,
              result.row.util, stats::Cell(result.row.p999[0], 0),
@@ -318,11 +305,12 @@ int run_shootout(bench::BenchArgs& args, const std::string& controller) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"controller", "loads", "only"});
   // `--controller=aequitas,ticket-pool,...` (or `all`) switches from the
   // related-work comparison to the admission-policy shoot-out: every named
   // registered policy on the identical stack, optionally swept across
-  // `--loads=0.6,0.8,1.0` and pinned to a `--backend=heap|calendar`.
+  // `--loads=0.6,0.8,1.0`.
   const std::string controller = args.flags.get("controller");
   if (!controller.empty()) return run_shootout(args, controller);
   bench::print_header("Figure 22",

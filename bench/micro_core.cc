@@ -7,12 +7,11 @@
 
 #include "core/aequitas.h"
 #include "net/dwrr.h"
-#include "sim/calendar_queue.h"
 #include "net/pfabric_queue.h"
 #include "net/spq.h"
 #include "net/wfq.h"
+#include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
-#include "sim/scheduler.h"
 #include "sim/simulator.h"
 #include "topo/builders.h"
 #include "transport/host_stack.h"
@@ -22,96 +21,59 @@ namespace {
 
 using namespace aeq;
 
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  sim::EventQueue queue;
-  sim::Rng rng(1);
-  double t = 0.0;
-  int dummy = 0;
-  for (int i = 0; i < 1000; ++i) {
-    queue.schedule(t + rng.uniform(), [&dummy] { ++dummy; });
-  }
-  for (auto _ : state) {
-    auto popped = queue.pop();
-    t = popped.time;
-    popped.handler();
-    queue.schedule(t + rng.uniform(), [&dummy] { ++dummy; });
-  }
-  benchmark::DoNotOptimize(dummy);
-  state.SetItemsProcessed(state.iterations());  // items/s == events/sec
-}
-BENCHMARK(BM_EventQueueScheduleAndPop);
-
-void BM_CalendarQueueScheduleAndPop(benchmark::State& state) {
-  sim::CalendarQueue queue;
-  sim::Rng rng(1);
-  double t = 0.0;
-  int dummy = 0;
-  for (int i = 0; i < 1000; ++i) {
-    queue.schedule(t + rng.uniform(0, 1e-3), [&dummy] { ++dummy; });
-  }
-  for (auto _ : state) {
-    auto popped = queue.pop();
-    t = popped.time;
-    popped.handler();
-    queue.schedule(t + rng.uniform(0, 1e-3), [&dummy] { ++dummy; });
-  }
-  benchmark::DoNotOptimize(dummy);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CalendarQueueScheduleAndPop);
-
-// Both backends through the EventScheduler interface, exactly as Simulator
-// drives them (virtual dispatch included), on the dense short-horizon event
-// profile a packet simulation produces. items/s is events/sec.
+// Both event queues, driven directly on the dense short-horizon event
+// profile a packet simulation produces: the CalendarQueue that Simulator
+// runs on, and the heap EventQueue that tests use as its oracle. items/s
+// is events/sec.
+template <typename Queue>
 void BM_SchedulerScheduleAndPop(benchmark::State& state) {
-  const auto backend = static_cast<sim::SchedulerBackend>(state.range(0));
-  state.SetLabel(sim::backend_name(backend));
-  auto queue = sim::make_scheduler(backend);
+  Queue queue;
   sim::Rng rng(1);
   double t = 0.0;
   int dummy = 0;
   for (int i = 0; i < 1000; ++i) {
-    queue->schedule(t + rng.exponential(2e-6), [&dummy] { ++dummy; });
+    queue.schedule(t + rng.exponential(2e-6), [&dummy] { ++dummy; });
   }
   for (auto _ : state) {
-    auto popped = queue->pop();
+    auto popped = queue.pop();
     t = popped.time;
     popped.handler();
-    queue->schedule(t + rng.exponential(2e-6), [&dummy] { ++dummy; });
+    queue.schedule(t + rng.exponential(2e-6), [&dummy] { ++dummy; });
   }
   benchmark::DoNotOptimize(dummy);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SchedulerScheduleAndPop)
-    ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kHeap))
-    ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kCalendar));
+BENCHMARK_TEMPLATE(BM_SchedulerScheduleAndPop, sim::EventQueue)
+    ->Name("BM_SchedulerScheduleAndPop/heap");
+BENCHMARK_TEMPLATE(BM_SchedulerScheduleAndPop, sim::CalendarQueue)
+    ->Name("BM_SchedulerScheduleAndPop/calendar");
 
 // Timer-heavy profile: most scheduled events are cancelled before firing
 // (retransmission timers, deadline guards). Exercises the generation-stamped
-// tombstone path of both backends.
+// tombstone path of both queues.
+template <typename Queue>
 void BM_SchedulerScheduleCancelPop(benchmark::State& state) {
-  const auto backend = static_cast<sim::SchedulerBackend>(state.range(0));
-  state.SetLabel(sim::backend_name(backend));
-  auto queue = sim::make_scheduler(backend);
+  Queue queue;
   sim::Rng rng(1);
   double t = 0.0;
   int dummy = 0;
   for (auto _ : state) {
     const auto id =
-        queue->schedule(t + rng.exponential(5e-6), [&dummy] { ++dummy; });
-    queue->schedule(t + rng.exponential(2e-6), [&dummy] { ++dummy; });
-    queue->cancel(id);  // the "timer" never fires
-    auto popped = queue->pop();
+        queue.schedule(t + rng.exponential(5e-6), [&dummy] { ++dummy; });
+    queue.schedule(t + rng.exponential(2e-6), [&dummy] { ++dummy; });
+    queue.cancel(id);  // the "timer" never fires
+    auto popped = queue.pop();
     t = popped.time;
     popped.handler();
   }
-  while (!queue->empty()) queue->pop();
+  while (!queue.empty()) queue.pop();
   benchmark::DoNotOptimize(dummy);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SchedulerScheduleCancelPop)
-    ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kHeap))
-    ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kCalendar));
+BENCHMARK_TEMPLATE(BM_SchedulerScheduleCancelPop, sim::EventQueue)
+    ->Name("BM_SchedulerScheduleCancelPop/heap");
+BENCHMARK_TEMPLATE(BM_SchedulerScheduleCancelPop, sim::CalendarQueue)
+    ->Name("BM_SchedulerScheduleCancelPop/calendar");
 
 template <typename Queue>
 net::Packet make_packet(std::uint8_t qos, double priority = 0.0) {

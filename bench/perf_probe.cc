@@ -2,13 +2,17 @@
 // Figure-12 workload with configurable AIMD and Swift parameters, for
 // exploring SLO-compliance vs admitted-share tradeoffs quickly. Also serves
 // as two speedometers:
-//   * scheduler backends — runs the identical workload on both event
-//     schedulers (binary heap and calendar queue) and reports simulated
-//     events per wall-clock second for each (--backend=heap|calendar|both);
+//   * executive — reports simulated events per wall-clock second for one
+//     run, serial or on --shards=K conservative-PDES shards;
 //   * sweep harness — with --sweep-points=N it times an N-point sweep at
 //     --jobs=1 and at the resolved --jobs and reports the parallel speedup
 //     (results are checked to be identical across the two runs).
-// All parameters are flags; see kUsage below.
+//
+// Flags (beyond the shared bench_util ones; anything else exits 2):
+//   --alpha=A --beta=B --swift-target-us=T   Aequitas AIMD and Swift knobs
+//   --warmup-ms=W --run-ms=R --period-us=P   horizons and burst period
+//   --aequitas=0|1 --mix-h=H --mix-m=M       admission on/off, input mix
+//   --sweep-points=N                         sweep-harness mode
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -21,18 +25,6 @@
 namespace {
 
 using namespace aeq;
-
-constexpr char kUsage[] =
-    "perf_probe [--alpha=A] [--beta=B] [--swift-target-us=T]\n"
-    "           [--warmup-ms=W] [--run-ms=R] [--period-us=P]\n"
-    "           [--aequitas=0|1] [--mix-h=H] [--mix-m=M]\n"
-    "           [--backend=heap|calendar|both] [--shards=K]\n"
-    "           [--schedule-digest]\n"
-    "           [--sweep-points=N] [--jobs=J] [--seed=S]\n"
-    "           [--trace=PATH] [--trace-csv=PATH] [--trace-point=N]\n"
-    "           [--timeseries=BASE] [--timeseries-width=USEC]\n"
-    "           [--watchdog[=PATH]] [--flight-recorder=PATH]\n"
-    "           [--prof=PATH]";
 
 struct ProbeParams {
   double alpha = 0.01;
@@ -49,10 +41,8 @@ struct ProbeParams {
 };
 
 runner::Experiment make_experiment(const ProbeParams& p,
-                                   sim::SchedulerBackend backend,
                                    std::uint64_t seed) {
   runner::ExperimentConfig config;
-  config.scheduler_backend = backend;
   config.shards = p.shards;
   config.num_hosts = 33;
   config.num_qos = 3;
@@ -79,46 +69,42 @@ void attach(runner::Experiment& experiment, const ProbeParams& p) {
   bench::attach_all_to_all(experiment, spec);
 }
 
-// Scheduler-backend speedometer: one serial run per backend.
-void run_backends(const ProbeParams& p,
-                  const std::vector<sim::SchedulerBackend>& backends,
-                  std::uint64_t seed, const bench::TraceRequest& trace) {
-  int point = 0;
-  for (const auto backend : backends) {
-    runner::Experiment experiment = make_experiment(p, backend, seed);
-    trace.apply(experiment, point++);
-    attach(experiment, p);
+// Executive speedometer: one timed run. The line keeps its "[calendar]"
+// (or "[calendar xK]") label — the name of the scheduler the executive
+// runs on — so tools that parse it need no change.
+void run_probe(const ProbeParams& p, std::uint64_t seed,
+               const bench::TraceRequest& trace) {
+  runner::Experiment experiment = make_experiment(p, seed);
+  trace.apply(experiment);
+  attach(experiment, p);
 
-    const auto start = std::chrono::steady_clock::now();
-    experiment.run(p.warmup_ms * sim::kMsec, p.run_ms * sim::kMsec);
-    const auto stop = std::chrono::steady_clock::now();
-    const double wall = std::chrono::duration<double>(stop - start).count();
-    const auto events = experiment.events_processed();
+  const auto start = std::chrono::steady_clock::now();
+  experiment.run(p.warmup_ms * sim::kMsec, p.run_ms * sim::kMsec);
+  const auto stop = std::chrono::steady_clock::now();
+  const double wall = std::chrono::duration<double>(stop - start).count();
+  const auto events = experiment.events_processed();
 
-    const auto& m = experiment.metrics();
-    char label[32];
-    if (p.shards > 1) {
-      std::snprintf(label, sizeof(label), "%s x%zu",
-                    sim::backend_name(backend), p.shards);
-    } else {
-      std::snprintf(label, sizeof(label), "%s",
-                    sim::backend_name(backend));
-    }
-    std::printf("[%-8s] QoSh p999 %.1fus share %.1f%% | QoSm p999 %.1fus "
-                "share %.1f%% | QoSl p999 %.0fus | %llu events in %.1fs = "
-                "%.2fM events/sec\n",
-                label,
-                m.rnl_by_run_qos(0).p999() / sim::kUsec,
-                100 * m.admitted_share(0),
-                m.rnl_by_run_qos(1).p999() / sim::kUsec,
-                100 * m.admitted_share(1),
-                m.rnl_by_run_qos(2).p999() / sim::kUsec,
-                static_cast<unsigned long long>(events), wall,
-                static_cast<double>(events) / wall / 1e6);
-    if (p.schedule_digest) {
-      std::printf("%s\n",
-                  bench::format_schedule_digest(experiment, label).c_str());
-    }
+  const auto& m = experiment.metrics();
+  char label[32];
+  if (p.shards > 1) {
+    std::snprintf(label, sizeof(label), "calendar x%zu", p.shards);
+  } else {
+    std::snprintf(label, sizeof(label), "calendar");
+  }
+  std::printf("[%-8s] QoSh p999 %.1fus share %.1f%% | QoSm p999 %.1fus "
+              "share %.1f%% | QoSl p999 %.0fus | %llu events in %.1fs = "
+              "%.2fM events/sec\n",
+              label,
+              m.rnl_by_run_qos(0).p999() / sim::kUsec,
+              100 * m.admitted_share(0),
+              m.rnl_by_run_qos(1).p999() / sim::kUsec,
+              100 * m.admitted_share(1),
+              m.rnl_by_run_qos(2).p999() / sim::kUsec,
+              static_cast<unsigned long long>(events), wall,
+              static_cast<double>(events) / wall / 1e6);
+  if (p.schedule_digest) {
+    std::printf("%s\n",
+                bench::format_schedule_digest(experiment, label).c_str());
   }
 }
 
@@ -134,8 +120,7 @@ void run_sweep_speedup(const ProbeParams& p, std::size_t points,
     runner::SweepRunner sweep(opts);
     for (std::size_t i = 0; i < points; ++i) {
       sweep.submit([p](const runner::PointContext& ctx) {
-        runner::Experiment experiment = make_experiment(
-            p, sim::SchedulerBackend::kHeap, ctx.seed);
+        runner::Experiment experiment = make_experiment(p, ctx.seed);
         attach(experiment, p);
         experiment.run(p.warmup_ms * sim::kMsec, p.run_ms * sim::kMsec);
         runner::PointResult result;
@@ -174,7 +159,10 @@ void run_sweep_speedup(const ProbeParams& p, std::size_t points,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args = bench::parse_args(
+      argc, argv,
+      {"alpha", "beta", "swift-target-us", "warmup-ms", "run-ms", "period-us",
+       "aequitas", "mix-h", "mix-m", "sweep-points"});
   ProbeParams p;
   p.alpha = args.flags.get_double("alpha", p.alpha);
   p.beta = args.flags.get_double("beta", p.beta);
@@ -188,33 +176,15 @@ int main(int argc, char** argv) {
   p.mix_m = args.flags.get_double("mix-m", p.mix_m);
   p.shards = args.shards;
   p.schedule_digest = args.schedule_digest;
-  const std::string backend_arg = args.flags.get("backend", "both");
   const auto sweep_points =
       static_cast<std::size_t>(args.flags.get_int("sweep-points", 0));
-  const auto unused = args.flags.unused();
-  if (!unused.empty()) {
-    std::fprintf(stderr, "unknown flag --%s\nusage:\n%s\n",
-                 unused.front().c_str(), kUsage);
-    return 2;
-  }
-
-  std::vector<sim::SchedulerBackend> backends;
-  if (backend_arg == "heap") {
-    backends = {sim::SchedulerBackend::kHeap};
-  } else if (backend_arg == "calendar") {
-    backends = {sim::SchedulerBackend::kCalendar};
-  } else {
-    backends = {sim::SchedulerBackend::kHeap,
-                sim::SchedulerBackend::kCalendar};
-  }
 
   std::printf("alpha=%.4f beta=%.4f swift=%.0fus\n", p.alpha, p.beta,
               p.swift_target_us);
   if (sweep_points > 0) {
     run_sweep_speedup(p, sweep_points, args.sweep);
   } else {
-    run_backends(p, backends, sim::derive_seed(args.sweep.base_seed, 0),
-                 args.trace);
+    run_probe(p, sim::derive_seed(args.sweep.base_seed, 0), args.trace);
   }
   return 0;
 }

@@ -34,8 +34,7 @@
 //                                        to exactly one egress queue.
 //   sim/time-monotone                    the simulated clock never runs
 //                                        backwards (scheduler contract,
-//                                        identical for heap and calendar
-//                                        backends).
+//                                        sim/scheduler.h).
 //   admission/invariants                 the controller's own invariant
 //                                        sweep (for Aequitas: every
 //                                        channel's p_admit in

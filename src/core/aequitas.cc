@@ -102,7 +102,7 @@ std::vector<rpc::Gauge> AequitasController::gauges() const {
   std::size_t n = 0;
   // min is order-independent; the sum folds in the map's slot order, which
   // is a pure function of the (deterministic) insertion history, so the
-  // mean is reproducible across runs, backends, and shard counts.
+  // mean is reproducible across runs and shard counts.
   // detlint:allow(unordered-iter)
   states_.for_each([&](std::uint64_t, const State& state) {
     min = std::min(min, state.p_admit);

@@ -17,8 +17,8 @@
 // Observe-only contract: a collector only reads the cycle counter and
 // writes its own memory — it never touches simulation state, schedules
 // events, or emits output mid-run. Profiled runs are therefore
-// byte-identical and schedule-digest-identical to unprofiled runs on both
-// scheduler backends at any shard count (property-tested in
+// byte-identical and schedule-digest-identical to unprofiled runs at any
+// shard count (property-tested in
 // tests/prof_test.cc and CI-diffed by the prof-smoke job).
 //
 // Wall-clock discipline: this header is the ONE place the library reads

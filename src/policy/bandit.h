@@ -17,7 +17,7 @@
 //
 // All randomness (Bernoulli admit draws, epsilon exploration) comes from
 // the controller's own forked sim::Rng stream, so runs are reproducible
-// across backends and shard counts.
+// across shard counts.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
-// The admission-policy registry: string kind -> controller factory,
-// mirroring the EventScheduler backend pattern from PR 1 at the admission
-// layer. The experiment harness resolves ExperimentConfig::admission
+// The admission-policy registry: string kind -> controller factory. The
+// experiment harness resolves ExperimentConfig::admission
 // (an AdmissionSpec) through make_controller() once per host; benches and
 // tests enumerate names() to sweep every registered policy.
 #pragma once
@@ -38,7 +37,7 @@ using PolicyFactory =
 // Registers (or replaces) a policy under `kind`. Built-ins self-register;
 // user code may add policies before constructing experiments. NOT
 // thread-safe against concurrent experiment construction — register
-// everything up front, as with custom event-scheduler backends.
+// everything up front.
 void register_policy(const std::string& kind, PolicyFactory factory);
 
 bool is_registered(const std::string& kind);

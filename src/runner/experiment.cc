@@ -48,7 +48,7 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
     AEQ_CHECK_GE(config_.num_hosts, config_.shards);
     const topo::ShardPlan plan = topo::make_shard_plan(star, config_.shards);
     executive_ = std::make_unique<sim::ShardedSimulator>(
-        config_.shards, config_.scheduler_backend, plan.lookahead);
+        config_.shards, plan.lookahead);
     std::vector<sim::Simulator*> sims;
     sims.reserve(config_.shards);
     for (std::size_t k = 0; k < config_.shards; ++k) {
@@ -59,8 +59,8 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
     executive_->set_barrier_callback([this] { fabric_->drain_all(); });
   } else {
     // One shard has no cut, hence no lookahead to bound.
-    executive_ = std::make_unique<sim::ShardedSimulator>(
-        1, config_.scheduler_backend, /*lookahead=*/0.0);
+    executive_ =
+        std::make_unique<sim::ShardedSimulator>(1, /*lookahead=*/0.0);
     if (config_.use_leaf_spine) {
       topo::LeafSpineConfig ls = config_.leaf_spine;
       ls.host_queue = queue;

@@ -78,12 +78,6 @@ struct TelemetrySpec {
 };
 
 struct ExperimentConfig {
-  // Simulation executive: which event-scheduler backend dispatches events.
-  // Both produce identical results for a fixed seed (enforced by the
-  // scheduler-equivalence property test); the calendar queue is the fast
-  // path for dense packet-level workloads and therefore the default.
-  sim::SchedulerBackend scheduler_backend = sim::SchedulerBackend::kCalendar;
-
   // Topology (single-switch star unless use_leaf_spine).
   std::size_t num_hosts = 3;
   sim::Rate link_rate = sim::gbps(100);
@@ -103,7 +97,7 @@ struct ExperimentConfig {
   // backlog the event loop performs zero steady-state allocations, which
   // the allocation regression test pins down. 0 = grow on demand.
   std::size_t queue_reserve_packets = 0;
-  // Pre-sizes the event scheduler (arena/handle-table/heap or calendar
+  // Pre-sizes the event scheduler (arena, handle table and calendar
   // buckets) for this many concurrent pending events; same contract as
   // queue_reserve_packets. 0 = grow on demand.
   std::size_t reserve_events = 0;
@@ -153,8 +147,8 @@ struct ExperimentConfig {
   // run() attributes cycle cost per component into this JSON report path
   // (plus `<prof>.trace.json` Chrome-trace flame rows and a text summary
   // on stderr). Observe-only: schedules and stdout/artifact bytes are
-  // identical with profiling on or off, on both backends at any shard
-  // count (tests/prof_test.cc pins this).
+  // identical with profiling on or off at any shard count
+  // (tests/prof_test.cc pins this).
   std::string prof;
 
   // Schedule digest (sim/digest.h): when true, every dispatched event's
@@ -191,8 +185,8 @@ class Experiment {
   }
 
   // Merged schedule digest; all-zero counts unless config().schedule_digest
-  // was set. Its canonical() form is invariant across backends, shard
-  // counts, and address-space layouts for a fixed seed (DESIGN.md §12).
+  // was set. Its canonical() form is invariant across shard counts and
+  // address-space layouts for a fixed seed (DESIGN.md §12).
   sim::ScheduleDigest schedule_digest() const {
     return executive_->schedule_digest();
   }

@@ -51,7 +51,7 @@ net::QueueConfig queue_for(const ProtocolExperimentConfig& config) {
 
 ProtocolExperiment::ProtocolExperiment(
     const ProtocolExperimentConfig& config)
-    : config_(config), sim_(config.scheduler_backend) {
+    : config_(config) {
   AEQ_ASSERT(config_.slo.num_qos() == config_.num_qos);
 
   topo::StarConfig star;

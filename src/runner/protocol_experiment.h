@@ -29,9 +29,6 @@ enum class BaselineProtocol { kPfabric, kQjump, kHoma, kD3, kPdq };
 const char* baseline_name(BaselineProtocol protocol);
 
 struct ProtocolExperimentConfig {
-  // Event-scheduler backend (see ExperimentConfig::scheduler_backend).
-  sim::SchedulerBackend scheduler_backend = sim::SchedulerBackend::kCalendar;
-
   BaselineProtocol protocol = BaselineProtocol::kPfabric;
   std::size_t num_hosts = 33;
   sim::Rate link_rate = sim::gbps(100);

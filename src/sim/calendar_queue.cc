@@ -150,7 +150,7 @@ bool CalendarQueue::pop_if_at_most(Time t_limit, Popped& out) {
   maybe_resize();
   // Scheduler contract shared with EventQueue: pops leave in strictly
   // increasing (time, insertion-sequence) order, the property the
-  // backend-equivalence guarantee rests on.
+  // heap-oracle differential tests rest on.
   AEQ_AUDIT_ONLY({
     AEQ_CHECK_GE_MSG(t, last_popped_t_, "event popped out of time order");
     if (t == last_popped_t_) {
@@ -163,7 +163,7 @@ bool CalendarQueue::pop_if_at_most(Time t_limit, Popped& out) {
   return true;
 }
 
-CalendarQueue::Popped CalendarQueue::pop() {
+Popped CalendarQueue::pop() {
   Popped out;
   const bool popped =
       pop_if_at_most(std::numeric_limits<Time>::infinity(), out);

@@ -1,7 +1,8 @@
-// Calendar queue (Brown 1988): an O(1)-amortized scheduler backend for
-// workloads whose event horizon is short and dense — exactly a packet
-// simulator's profile. Selectable behind Simulator alongside the binary-heap
-// EventQueue; both pop in identical (time, sequence) order.
+// Calendar queue (Brown 1988): the executive's event scheduler, O(1)
+// amortized for workloads whose event horizon is short and dense — exactly
+// a packet simulator's profile. Simulator holds one by value. The heap
+// EventQueue obeys the same contract (sim/scheduler.h) and pops in
+// identical (time, sequence) order; tests use it as the oracle.
 //
 // Buckets cover `bucket_width` of simulated time each and wrap around a
 // ring of `num_buckets`; events further than one rotation ahead sit in their
@@ -17,8 +18,7 @@
 // A bucket is just a head index into the shared EventArena; nodes chain
 // through their intrusive `next` links in (time, seq) order. Insert, pop,
 // and resize relink indices without moving nodes, so the steady-state event
-// loop performs no allocation (the old std::list backend allocated a list
-// node per event).
+// loop performs no allocation.
 #pragma once
 
 #include <cstdint>
@@ -30,21 +30,21 @@
 
 namespace aeq::sim {
 
-class CalendarQueue final : public EventScheduler {
+class CalendarQueue {
  public:
   explicit CalendarQueue(Time initial_bucket_width = 1 * kUsec,
                          std::size_t initial_buckets = 256);
 
   EventId schedule(Time t, Handler handler,
-                   std::uint16_t rank = kTieRankDefault) override;
-  bool cancel(EventId id) override;
-  Popped pop() override;
-  bool pop_if_at_most(Time t_limit, Popped& out) override;
-  void reserve_events(std::size_t n) override;
+                   std::uint16_t rank = kTieRankDefault);
+  bool cancel(EventId id);
+  Popped pop();
+  bool pop_if_at_most(Time t_limit, Popped& out);
+  void reserve_events(std::size_t n);
 
-  bool empty() const override { return live_ == 0; }
-  std::size_t size() const override { return live_; }
-  Time next_time() override;  // not const: may compact tombstones
+  bool empty() const { return live_ == 0; }
+  std::size_t size() const { return live_; }
+  Time next_time();  // not const: may compact tombstones
 
   std::size_t num_buckets() const { return buckets_.size(); }
 
@@ -90,7 +90,7 @@ class CalendarQueue final : public EventScheduler {
   std::uint64_t next_seq_ = 1;
   HandleTable handles_;
   // Last popped (time, seq), consulted only by the AEQ_AUDIT build's
-  // pop-order check: both backends promise strictly increasing order.
+  // pop-order check: both queues promise strictly increasing order.
   Time last_popped_t_ = -1.0;
   std::uint64_t last_popped_seq_ = 0;
 };

@@ -1,7 +1,7 @@
 // Schedule digests: a compact fingerprint of the dispatched event stream
 // (DESIGN.md §12), used to prove the determinism contract end to end —
-// same seed ⇒ same digest on either scheduler backend, at any shard count,
-// and under any address-space layout.
+// same seed ⇒ same digest at any shard count and under any address-space
+// layout.
 //
 // Per dispatched event the digest hashes exactly the schedule-defining
 // coordinates: the event time's 8 IEEE-754 bytes and the 2-byte tie rank.
@@ -22,7 +22,7 @@
 //     interleaving and therefore comparable across shard counts.
 // canonical() — what tests and the --schedule-digest flag print — is
 // derived from the commutative pair, so one number is comparable across
-// backends, shard counts, and processes.
+// shard counts and processes.
 //
 // Compile gate: the AEQ_SCHED_DIGEST CMake option (default ON) compiles the
 // accumulation hook into Simulator::dispatch; runs still pay nothing unless
@@ -87,8 +87,8 @@ struct ScheduleDigest {
   }
 
   // The printable fingerprint: derived from the interleaving-invariant
-  // accumulators, so it is the number that must match across backends,
-  // shard counts, and ASLR layouts.
+  // accumulators, so it is the number that must match across shard counts
+  // and ASLR layouts.
   std::uint64_t canonical() const {
     std::uint64_t h = kFnv64Offset;
     h = fnv1a64(h, &sum, sizeof(sum));

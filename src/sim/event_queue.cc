@@ -103,7 +103,7 @@ bool EventQueue::pop_if_at_most(Time t_limit, Popped& out) {
   --live_;
   // Scheduler contract shared with CalendarQueue: pops leave in strictly
   // increasing (time, insertion-sequence) order, the property the
-  // backend-equivalence guarantee rests on.
+  // heap-oracle differential tests rest on.
   AEQ_AUDIT_ONLY({
     AEQ_CHECK_GE_MSG(entry.t, last_popped_t_,
                      "event popped out of time order");
@@ -117,7 +117,7 @@ bool EventQueue::pop_if_at_most(Time t_limit, Popped& out) {
   return true;
 }
 
-EventQueue::Popped EventQueue::pop() {
+Popped EventQueue::pop() {
   Popped out;
   const bool popped =
       pop_if_at_most(std::numeric_limits<Time>::infinity(), out);

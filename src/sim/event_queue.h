@@ -1,4 +1,9 @@
-// Heap scheduler backend.
+// Heap event queue: the reference oracle for CalendarQueue.
+//
+// No simulation runs on it — Simulator holds a CalendarQueue — but it obeys
+// the same queue contract (sim/scheduler.h) with a structure simple enough
+// to trust, so the differential tests replay identical operation streams
+// through both queues and require identical pops.
 //
 // Events are arbitrary callables scheduled at an absolute simulated time.
 // Ties are broken by insertion order (a monotonically increasing sequence
@@ -24,18 +29,18 @@
 
 namespace aeq::sim {
 
-class EventQueue final : public EventScheduler {
+class EventQueue {
  public:
   EventId schedule(Time t, Handler handler,
-                   std::uint16_t rank = kTieRankDefault) override;
-  bool cancel(EventId id) override;
-  Popped pop() override;
-  bool pop_if_at_most(Time t_limit, Popped& out) override;
-  void reserve_events(std::size_t n) override;
+                   std::uint16_t rank = kTieRankDefault);
+  bool cancel(EventId id);
+  Popped pop();
+  bool pop_if_at_most(Time t_limit, Popped& out);
+  void reserve_events(std::size_t n);
 
-  bool empty() const override { return live_ == 0; }
-  std::size_t size() const override { return live_; }
-  Time next_time() override;
+  bool empty() const { return live_ == 0; }
+  std::size_t size() const { return live_; }
+  Time next_time();
 
  private:
   struct Entry {
@@ -63,7 +68,7 @@ class EventQueue final : public EventScheduler {
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 1;
   // Last popped (time, seq), consulted only by the AEQ_AUDIT build's
-  // pop-order check: both backends promise strictly increasing order.
+  // pop-order check: both queues promise strictly increasing order.
   Time last_popped_t_ = -1.0;
   std::uint64_t last_popped_seq_ = 0;
 };

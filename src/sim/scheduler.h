@@ -1,11 +1,36 @@
-// The event-scheduler concept behind the simulation executive.
+// The pieces both event queues share, and the queue contract they obey.
 //
-// Two backends implement it: the binary-heap EventQueue (robust default for
-// arbitrary horizons) and the O(1)-amortized CalendarQueue (Brown 1988,
-// faster for the dense short-horizon profile of a packet simulator). Both
-// pop events in strictly increasing (time, tie-rank, insertion-sequence)
-// order, so a run is bit-identical on either backend for a fixed seed; the
-// scheduler-equivalence property test enforces this.
+// Two queues implement the contract: the O(1)-amortized CalendarQueue
+// (Brown 1988), which is the executive's scheduler (Simulator holds one by
+// value), and the binary-heap EventQueue, which runs no simulation and is
+// kept as the reference oracle that the differential tests compare the
+// calendar against. Both pop events in strictly increasing (time, tie-rank,
+// insertion-sequence) order and expose the same method names, so a test
+// can drive them through one template:
+//
+//   EventId schedule(Time t, Handler handler, uint16_t rank = kTieRankDefault)
+//       Schedules `handler` at absolute time `t`, which must not precede the
+//       last popped event. `rank` breaks equal-timestamp ties before
+//       insertion order does (see below).
+//   bool cancel(EventId id)
+//       Cancels a pending event; false if it already ran, was already
+//       cancelled, or the id is invalid.
+//   void reserve_events(size_t n)
+//       Pre-sizes storage for `n` concurrent pending events, so a run whose
+//       live-event count stays below `n` performs no steady-state
+//       allocations. A hint: the structure still grows past it on demand.
+//   Popped pop()
+//       Pops the earliest live event. Precondition: !empty().
+//   bool pop_if_at_most(Time t_limit, Popped& out)
+//       Pops the earliest live event into `out` if its time is <= t_limit;
+//       returns false (structure untouched) when the queue is empty or the
+//       earliest event is later. The dispatch loop uses this instead of
+//       next_time()+pop(): one head scan per event instead of two.
+//   bool empty() const / size_t size() const
+//       Whether any / how many live (non-cancelled) events remain.
+//   Time next_time()
+//       Time of the earliest live event; non-const because the calendar
+//       compacts tombstones while scanning. Precondition: !empty().
 //
 // The tie rank exists for the sharded (PDES) executive. Equal-timestamp
 // events are common (zero-delay chains, phase-locked ack-clocking), and
@@ -24,7 +49,7 @@
 // Cancellation is generation-stamped rather than hash-based: an EventId
 // packs a slot index and a generation counter, and a HandleTable validates
 // ids in O(1) with no per-event unordered_set traffic. Cancelled events stay
-// in the backend's structure as tombstones and are skipped (and their slots
+// in the queue's structure as tombstones and are skipped (and their slots
 // reclaimed) lazily when drained.
 //
 // Event storage is allocation-free in steady state: handlers are
@@ -51,7 +76,7 @@ namespace aeq::sim {
 // Raising this inflates every arena node, so prefer shrinking captures.
 inline constexpr std::size_t kHandlerInlineBytes = 48;
 
-using EventHandler = util::InlineFunction<void(), kHandlerInlineBytes>;
+using Handler = util::InlineFunction<void(), kHandlerInlineBytes>;
 
 // Tie rank for events scheduled without an explicit one: sorts after every
 // ranked event at the same timestamp. Ranked events must use values
@@ -60,7 +85,7 @@ inline constexpr std::uint16_t kTieRankDefault = 0xffff;
 
 // The (rank, insertion-counter) pair packed into one comparable word: rank
 // in the top 16 bits, counter in the low 48 (2^48 schedules before
-// wrap — checked). Backends order entries by (time, this key), so the
+// wrap — checked). Both queues order entries by (time, this key), so the
 // comparator is exactly the old (time, seq) two-word compare.
 inline std::uint64_t pack_tie_key(std::uint16_t rank,
                                   std::uint64_t counter) {
@@ -80,7 +105,7 @@ struct EventId {
   friend bool operator==(EventId a, EventId b) { return a.value == b.value; }
 };
 
-// Generation-stamped slot table shared by the scheduler backends.
+// Generation-stamped slot table shared by both event queues.
 //
 // acquire() hands out an id whose high 32 bits are the slot's current
 // generation (>= 1, so packed ids are never 0) and whose low 32 bits are the
@@ -180,11 +205,11 @@ class HandleTable {
   std::vector<std::uint32_t> free_;
 };
 
-// Chunked, index-stable event-node storage shared by both scheduler
-// backends. A node's index IS its HandleTable slot index, so the handle
-// table's free list doubles as the node free list: once the table reaches
-// its high-water mark, schedule/pop/cancel recycle nodes with zero
-// allocator traffic. Chunks are never freed or moved, so Node references
+// Chunked, index-stable event-node storage shared by both event queues. A
+// node's index IS its HandleTable slot index, so the handle table's free
+// list doubles as the node free list: once the table reaches its
+// high-water mark, schedule/pop/cancel recycle nodes with zero allocator
+// traffic. Chunks are never freed or moved, so Node references
 // stay valid across growth and the calendar's intrusive `next` links can
 // be plain indices.
 class EventArena {
@@ -196,7 +221,7 @@ class EventArena {
     std::uint64_t seq = 0;
     EventId id{};
     std::uint32_t next = kNil;  // intrusive chain link (calendar buckets)
-    EventHandler handler;
+    Handler handler;
   };
 
   Node& at(std::uint32_t index) {
@@ -226,67 +251,14 @@ class EventArena {
   std::vector<std::unique_ptr<Node[]>> chunks_;
 };
 
-// The scheduler concept: what Simulator needs from an event structure.
-class EventScheduler {
- public:
-  using Handler = EventHandler;
-
-  struct Popped {
-    Time time;
-    // The event's packed (rank, insertion-seq) ordering key — what broke
-    // ties at this timestamp. Consumed by the schedule digest
-    // (sim/digest.h); rank lives in the top 16 bits (tie_rank_of).
-    std::uint64_t tie_key;
-    Handler handler;
-  };
-
-  virtual ~EventScheduler() = default;
-
-  // Schedules `handler` to run at absolute time `t`. `t` must not be in the
-  // past relative to the last popped event. `rank` breaks equal-timestamp
-  // ties before insertion order does (see the header comment); the default
-  // preserves pure insertion-order semantics.
-  virtual EventId schedule(Time t, Handler handler,
-                           std::uint16_t rank = kTieRankDefault) = 0;
-
-  // Cancels a pending event. Returns false if the event already ran, was
-  // already cancelled, or the id is invalid.
-  virtual bool cancel(EventId id) = 0;
-
-  // Pre-sizes internal storage (arena chunks, handle table, heap/buckets)
-  // for `n` concurrent pending events, so a run whose live-event count
-  // stays below `n` performs no steady-state allocations. A hint: the
-  // structure still grows past it on demand.
-  virtual void reserve_events(std::size_t n) = 0;
-
-  // Pops the earliest pending (non-cancelled) event. Precondition: !empty().
-  virtual Popped pop() = 0;
-
-  // Pops the earliest live event into `out` if its time is <= t_limit;
-  // returns false (structure untouched) when the queue is empty or the
-  // earliest event is later. The executive's dispatch loop uses this
-  // instead of next_time()+pop(): one head scan per event instead of two
-  // (for the calendar backend next_time() is a full pop-and-reinsert).
-  virtual bool pop_if_at_most(Time t_limit, Popped& out) = 0;
-
-  // True when no live (non-cancelled) events remain.
-  virtual bool empty() const = 0;
-
-  // Number of live events.
-  virtual std::size_t size() const = 0;
-
-  // Time of the earliest live event; non-const because the calendar backend
-  // may compact tombstones while scanning. Precondition: !empty().
-  virtual Time next_time() = 0;
+// One popped event, as either queue hands it to its caller.
+struct Popped {
+  Time time;
+  // The event's packed (rank, insertion-seq) ordering key — what broke
+  // ties at this timestamp. Consumed by the schedule digest
+  // (sim/digest.h); rank lives in the top 16 bits (tie_rank_of).
+  std::uint64_t tie_key;
+  Handler handler;
 };
-
-enum class SchedulerBackend {
-  kHeap,      // binary-heap EventQueue
-  kCalendar,  // CalendarQueue (Brown 1988)
-};
-
-const char* backend_name(SchedulerBackend backend);
-
-std::unique_ptr<EventScheduler> make_scheduler(SchedulerBackend backend);
 
 }  // namespace aeq::sim

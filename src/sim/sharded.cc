@@ -47,8 +47,7 @@ double ExecutiveStats::barrier_stall_share() const {
   return static_cast<double>(wait) / static_cast<double>(busy + wait);
 }
 
-ShardedSimulator::ShardedSimulator(std::size_t num_shards,
-                                   SchedulerBackend backend, Time lookahead)
+ShardedSimulator::ShardedSimulator(std::size_t num_shards, Time lookahead)
     : lookahead_(lookahead) {
   AEQ_CHECK_GE(num_shards, 1u);
   AEQ_ASSERT_MSG(num_shards == 1 || lookahead_ > 0.0,
@@ -56,7 +55,7 @@ ShardedSimulator::ShardedSimulator(std::size_t num_shards,
                  "zero-latency cross-shard link would serialize the run)");
   shards_.reserve(num_shards);
   for (std::size_t k = 0; k < num_shards; ++k) {
-    shards_.push_back(std::make_unique<Simulator>(backend));
+    shards_.push_back(std::make_unique<Simulator>());
   }
   {
     const util::MutexLock lock(mutex_);

@@ -103,8 +103,7 @@ class ShardedSimulator {
   // With more than one shard `lookahead` must be strictly positive: it is
   // the window depth, and a zero-lookahead cut would serialize the shards
   // one event at a time. One shard has no cut, so any lookahead is ignored.
-  ShardedSimulator(std::size_t num_shards, SchedulerBackend backend,
-                   Time lookahead);
+  ShardedSimulator(std::size_t num_shards, Time lookahead);
   ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;

@@ -8,10 +8,10 @@
 
 namespace aeq::sim {
 
-EventId Simulator::schedule_at(Time t, EventScheduler::Handler handler,
+EventId Simulator::schedule_at(Time t, Handler handler,
                                std::uint16_t rank) {
   AEQ_CHECK_GE_MSG(t, now_, "cannot schedule into the past");
-  return queue_->schedule(t, std::move(handler), rank);
+  return queue_.schedule(t, std::move(handler), rank);
 }
 
 void Simulator::enable_schedule_digest() {
@@ -20,7 +20,7 @@ void Simulator::enable_schedule_digest() {
   digest_enabled_ = true;
 }
 
-void Simulator::dispatch(EventScheduler::Popped& popped) {
+void Simulator::dispatch(Popped& popped) {
   AEQ_DCHECK(popped.time >= now_);
   now_ = popped.time;
   // Keep the diagnostic clock in step so AEQ_CHECK failure reports anywhere
@@ -41,9 +41,9 @@ void Simulator::dispatch(EventScheduler::Popped& popped) {
 
 void Simulator::run() {
   stopped_ = false;
-  EventScheduler::Popped popped;
+  Popped popped;
   while (!stopped_ &&
-         queue_->pop_if_at_most(std::numeric_limits<Time>::infinity(),
+         queue_.pop_if_at_most(std::numeric_limits<Time>::infinity(),
                                 popped)) {
     dispatch(popped);
   }
@@ -52,8 +52,8 @@ void Simulator::run() {
 void Simulator::run_until(Time t_end) {
   AEQ_CHECK_GE_MSG(t_end, now_, "run_until target precedes current time");
   stopped_ = false;
-  EventScheduler::Popped popped;
-  while (!stopped_ && queue_->pop_if_at_most(t_end, popped)) {
+  Popped popped;
+  while (!stopped_ && queue_.pop_if_at_most(t_end, popped)) {
     dispatch(popped);
   }
   if (!stopped_ && now_ < t_end) {

@@ -1,16 +1,14 @@
-// The simulation executive: a clock plus a pluggable event scheduler.
+// The simulation executive: a clock plus a calendar-queue event scheduler.
 //
 // A Simulator is an explicit object passed (by reference) to every component
-// that needs to schedule work; there is no global simulation state. The
-// scheduler backend (binary heap or calendar queue) is chosen at
-// construction; both dispatch events in identical order for a fixed seed,
-// so the choice is purely a performance knob.
+// that needs to schedule work; there is no global simulation state. It holds
+// its CalendarQueue by value, so schedule, pop and cancel are direct calls.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 
+#include "sim/calendar_queue.h"
 #include "sim/digest.h"
 #include "sim/scheduler.h"
 #include "sim/units.h"
@@ -19,34 +17,28 @@ namespace aeq::sim {
 
 class Simulator {
  public:
-  explicit Simulator(SchedulerBackend backend = SchedulerBackend::kHeap)
-      : backend_(backend), queue_(make_scheduler(backend)) {}
-
   // Current simulated time.
   Time now() const { return now_; }
-
-  // Which scheduler backend this executive runs on.
-  SchedulerBackend backend() const { return backend_; }
 
   // Schedules `handler` at absolute time `t` (must be >= now()). `rank`
   // breaks equal-timestamp ties ahead of insertion order — see
   // sim/scheduler.h; the default keeps plain insertion-order semantics.
-  EventId schedule_at(Time t, EventScheduler::Handler handler,
+  EventId schedule_at(Time t, Handler handler,
                       std::uint16_t rank = kTieRankDefault);
 
   // Schedules `handler` `dt` seconds from now (dt >= 0).
-  EventId schedule_in(Time dt, EventScheduler::Handler handler,
+  EventId schedule_in(Time dt, Handler handler,
                       std::uint16_t rank = kTieRankDefault) {
     return schedule_at(now_ + dt, std::move(handler), rank);
   }
 
   // Cancels a pending event; safe to call with an already-fired id.
-  void cancel(EventId id) { queue_->cancel(id); }
+  void cancel(EventId id) { queue_.cancel(id); }
 
   // Pre-sizes the scheduler for `n` concurrent pending events (see
-  // EventScheduler::reserve_events): below that mark the event loop
+  // reserve_events in sim/scheduler.h): below that mark the event loop
   // performs no steady-state allocations.
-  void reserve_events(std::size_t n) { queue_->reserve_events(n); }
+  void reserve_events(std::size_t n) { queue_.reserve_events(n); }
 
   // Runs until the event queue drains or stop() is called.
   void run();
@@ -71,20 +63,19 @@ class Simulator {
 
   // Timestamp of the earliest pending event, +infinity when the queue is
   // empty. The sharded executive uses this to pick the next conservative
-  // window; for the calendar backend it costs a head scan, so call it once
-  // per window, not per event.
+  // window; it costs a calendar head scan, so call it once per window, not
+  // per event.
   Time next_event_time() {
-    return queue_->empty() ? std::numeric_limits<Time>::infinity()
-                           : queue_->next_time();
+    return queue_.empty() ? std::numeric_limits<Time>::infinity()
+                          : queue_.next_time();
   }
 
-  std::size_t pending_events() const { return queue_->size(); }
+  std::size_t pending_events() const { return queue_.size(); }
 
  private:
-  void dispatch(EventScheduler::Popped& popped);
+  void dispatch(Popped& popped);
 
-  SchedulerBackend backend_;
-  std::unique_ptr<EventScheduler> queue_;
+  CalendarQueue queue_;
   Time now_ = 0.0;
   bool stopped_ = false;
   std::uint64_t events_processed_ = 0;

@@ -7,9 +7,9 @@
 // pre-reserved vectors. This binary overrides global operator new/delete
 // with counting shims and proves the promise end to end: a fig03-style
 // Aequitas run (WFQ, 3 QoS, Poisson all-to-all load) performs ZERO heap
-// allocations during its post-warmup measurement window, on both scheduler
-// backends. Any new `new` on a per-event or per-RPC path fails this test
-// rather than quietly eroding events/sec.
+// allocations during its post-warmup measurement window. Any new `new` on a
+// per-event or per-RPC path fails this test rather than quietly eroding
+// events/sec.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -75,11 +75,10 @@ struct Tick {
   std::uint64_t allocation_count;
 };
 
-// One fig03-style run on the given backend; returns the per-sample
-// allocation counter readings taken during run().
-std::vector<Tick> run_counted(sim::SchedulerBackend backend) {
+// One fig03-style run; returns the per-sample allocation counter readings
+// taken during run().
+std::vector<Tick> run_counted() {
   runner::ExperimentConfig config;
-  config.scheduler_backend = backend;
   config.num_hosts = 6;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
@@ -116,11 +115,8 @@ std::vector<Tick> run_counted(sim::SchedulerBackend backend) {
   return ticks;
 }
 
-class AllocationTest
-    : public ::testing::TestWithParam<sim::SchedulerBackend> {};
-
-TEST_P(AllocationTest, SteadyStateEventLoopIsAllocationFree) {
-  const std::vector<Tick> ticks = run_counted(GetParam());
+TEST(AllocationTest, SteadyStateEventLoopIsAllocationFree) {
+  const std::vector<Tick> ticks = run_counted();
   ASSERT_GE(ticks.size(), 80u);
 
   // Warmup is allowed to allocate: pools are still finding their
@@ -142,14 +138,6 @@ TEST_P(AllocationTest, SteadyStateEventLoopIsAllocationFree) {
       << " heap allocations; the event loop must not touch the allocator "
       << "after warmup (DESIGN.md §10)";
 }
-
-INSTANTIATE_TEST_SUITE_P(BothBackends, AllocationTest,
-                         ::testing::Values(sim::SchedulerBackend::kHeap,
-                                           sim::SchedulerBackend::kCalendar),
-                         [](const auto& param_info) {
-                           return std::string(
-                               sim::backend_name(param_info.param));
-                         });
 
 }  // namespace
 }  // namespace aeq

@@ -1,8 +1,9 @@
 // Tests for the invariant-audit layer: AEQ_CHECK_* failure reporting, the
 // Auditor registry, the check catalogue over real components, a
 // deliberately broken queue double proving conservation violations are
-// caught, and audited end-to-end runs across every discipline and both
-// scheduler backends.
+// caught, and audited end-to-end runs across every discipline. (The
+// end-to-end test's name predates the calendar queue becoming the only
+// scheduler a simulation runs on.)
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -256,14 +257,12 @@ TEST(Checks, CongestionControlInvariantsPass) {
 
 // --- Audited end-to-end runs ----------------------------------------------
 
-runner::ExperimentConfig audited_config(net::SchedulerType scheduler,
-                                        sim::SchedulerBackend backend) {
+runner::ExperimentConfig audited_config(net::SchedulerType scheduler) {
   runner::ExperimentConfig config;
   config.num_hosts = 3;
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
   config.scheduler = scheduler;
-  config.scheduler_backend = backend;
   config.buffer_bytes = 256 * 1024;  // small enough to exercise drops
   config.slo = rpc::SloConfig::make({15.0 / 8 * sim::kUsec, 0.0}, 99.9);
   config.audit = true;
@@ -287,26 +286,21 @@ TEST(AuditedRuns, EveryDisciplineOnBothBackendsRunsClean) {
       net::SchedulerType::kFifo, net::SchedulerType::kWfq,
       net::SchedulerType::kDwrr, net::SchedulerType::kSpq,
       net::SchedulerType::kPfabric};
-  const sim::SchedulerBackend backends[] = {sim::SchedulerBackend::kHeap,
-                                            sim::SchedulerBackend::kCalendar};
   for (const auto scheduler : disciplines) {
-    for (const auto backend : backends) {
-      SCOPED_TRACE(static_cast<int>(scheduler));
-      runner::Experiment experiment(audited_config(scheduler, backend));
-      ASSERT_NE(experiment.auditor(), nullptr);
-      run_audited(experiment);
-      // Reaching here means zero violations (a violation aborts). The
-      // registry must actually have swept: periodic passes plus the final
-      // post-drain pass.
-      EXPECT_GT(experiment.auditor()->passes(), 10u);
-      EXPECT_GT(experiment.auditor()->report().total_evaluations, 0u);
-    }
+    SCOPED_TRACE(static_cast<int>(scheduler));
+    runner::Experiment experiment(audited_config(scheduler));
+    ASSERT_NE(experiment.auditor(), nullptr);
+    run_audited(experiment);
+    // Reaching here means zero violations (a violation aborts). The
+    // registry must actually have swept: periodic passes plus the final
+    // post-drain pass.
+    EXPECT_GT(experiment.auditor()->passes(), 10u);
+    EXPECT_GT(experiment.auditor()->report().total_evaluations, 0u);
   }
 }
 
 TEST(AuditedRuns, SharedPoolTopologyRunsClean) {
-  auto config = audited_config(net::SchedulerType::kWfq,
-                               sim::SchedulerBackend::kCalendar);
+  auto config = audited_config(net::SchedulerType::kWfq);
   config.per_class_buffer_bytes = 64 * 1024;
   runner::Experiment experiment(config);
   run_audited(experiment);
@@ -314,8 +308,7 @@ TEST(AuditedRuns, SharedPoolTopologyRunsClean) {
 }
 
 TEST(AuditedRuns, AuditOffLeavesNoRegistry) {
-  auto config = audited_config(net::SchedulerType::kWfq,
-                               sim::SchedulerBackend::kCalendar);
+  auto config = audited_config(net::SchedulerType::kWfq);
   config.audit = false;
   runner::Experiment experiment(config);
   EXPECT_EQ(experiment.auditor(), nullptr);

@@ -3,7 +3,6 @@
 // The digest is the executable form of the determinism contract: for a
 // fixed seed its canonical fingerprint must be identical
 //   * across repeated runs in one process,
-//   * across the heap and calendar scheduler backends,
 //   * across shard counts 1/2/4 (serial vs conservative-PDES executive),
 // and must CHANGE when the seed changes. CI additionally diffs it across
 // two processes with different address-space layouts (the ASLR smoke step);
@@ -94,10 +93,9 @@ struct DigestRun {
   std::uint64_t completed = 0;
 };
 
-DigestRun run_workload(std::size_t shards, sim::SchedulerBackend backend,
-                       std::uint64_t seed, bool digest = true) {
+DigestRun run_workload(std::size_t shards, std::uint64_t seed,
+                       bool digest = true) {
   runner::ExperimentConfig config;
-  config.scheduler_backend = backend;
   config.num_hosts = 8;
   config.num_qos = 3;
   config.slo = rpc::SloConfig::make(
@@ -136,62 +134,36 @@ DigestRun run_workload(std::size_t shards, sim::SchedulerBackend backend,
 
 TEST(ScheduleDigestRuns, SameSeedTwiceIsIdentical) {
   AEQ_REQUIRE_DIGEST_BUILD();
-  const DigestRun a = run_workload(1, sim::SchedulerBackend::kCalendar, 42);
-  const DigestRun b = run_workload(1, sim::SchedulerBackend::kCalendar, 42);
+  const DigestRun a = run_workload(1, 42);
+  const DigestRun b = run_workload(1, 42);
   ASSERT_GT(a.count, 10000u) << "workload too light to mean anything";
   EXPECT_EQ(a.ordered, b.ordered);
   EXPECT_EQ(a.canonical, b.canonical);
   EXPECT_EQ(a.count, b.count);
 }
 
-TEST(ScheduleDigestRuns, HeapAndCalendarDispatchTheSameSchedule) {
+TEST(ShardDigestTest, ShardCountsOneTwoFourAgree) {
   AEQ_REQUIRE_DIGEST_BUILD();
-  const DigestRun heap = run_workload(1, sim::SchedulerBackend::kHeap, 42);
-  const DigestRun cal =
-      run_workload(1, sim::SchedulerBackend::kCalendar, 42);
-  // Serial runs share a global dispatch order, so even the order-sensitive
-  // fold must match across backends.
-  EXPECT_EQ(heap.ordered, cal.ordered);
-  EXPECT_EQ(heap.canonical, cal.canonical);
-  EXPECT_EQ(heap.count, cal.count);
-}
-
-class ShardDigestTest
-    : public ::testing::TestWithParam<sim::SchedulerBackend> {};
-
-TEST_P(ShardDigestTest, ShardCountsOneTwoFourAgree) {
-  AEQ_REQUIRE_DIGEST_BUILD();
-  const auto backend = GetParam();
-  const DigestRun serial = run_workload(1, backend, 42);
+  const DigestRun serial = run_workload(1, 42);
   ASSERT_GT(serial.count, 10000u);
   for (std::size_t shards : {2u, 4u}) {
-    const DigestRun sharded = run_workload(shards, backend, 42);
+    const DigestRun sharded = run_workload(shards, 42);
     EXPECT_EQ(sharded.canonical, serial.canonical) << shards << " shards";
     EXPECT_EQ(sharded.count, serial.count) << shards << " shards";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ShardDigestTest,
-                         ::testing::Values(sim::SchedulerBackend::kHeap,
-                                           sim::SchedulerBackend::kCalendar),
-                         [](const auto& param_info) {
-                           return std::string(
-                               sim::backend_name(param_info.param));
-                         });
-
 TEST(ScheduleDigestRuns, DifferentSeedDiffers) {
   AEQ_REQUIRE_DIGEST_BUILD();
-  const DigestRun a = run_workload(1, sim::SchedulerBackend::kCalendar, 42);
-  const DigestRun b = run_workload(1, sim::SchedulerBackend::kCalendar, 43);
+  const DigestRun a = run_workload(1, 42);
+  const DigestRun b = run_workload(1, 43);
   EXPECT_NE(a.canonical, b.canonical);
 }
 
 TEST(ScheduleDigestRuns, DigestDoesNotPerturbTheRun) {
   AEQ_REQUIRE_DIGEST_BUILD();
-  const DigestRun with = run_workload(1, sim::SchedulerBackend::kCalendar,
-                                      42, /*digest=*/true);
-  const DigestRun without = run_workload(1, sim::SchedulerBackend::kCalendar,
-                                         42, /*digest=*/false);
+  const DigestRun with = run_workload(1, 42, /*digest=*/true);
+  const DigestRun without = run_workload(1, 42, /*digest=*/false);
   EXPECT_EQ(with.completed, without.completed);
   EXPECT_EQ(without.count, 0u);  // off means off: nothing accumulated
 }

@@ -326,14 +326,12 @@ TEST(CsvSinkTest, GoldenLifecycleRows) {
 
 // --- experiment-level wiring ----------------------------------------------
 
-runner::ExperimentConfig traced_config(net::SchedulerType scheduler,
-                                       sim::SchedulerBackend backend) {
+runner::ExperimentConfig traced_config(net::SchedulerType scheduler) {
   runner::ExperimentConfig config;
   config.num_hosts = 3;
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
   config.scheduler = scheduler;
-  config.scheduler_backend = backend;
   config.buffer_bytes = 256 * 1024;  // small enough to exercise drops
   config.slo = rpc::SloConfig::make({15.0 / 8 * sim::kUsec, 0.0}, 99.9);
   config.audit = false;
@@ -356,9 +354,8 @@ struct Outcome {
   std::vector<double> share;
 };
 
-Outcome run_once(net::SchedulerType scheduler, sim::SchedulerBackend backend,
-                 const std::string& trace_path) {
-  auto config = traced_config(scheduler, backend);
+Outcome run_once(net::SchedulerType scheduler, const std::string& trace_path) {
+  auto config = traced_config(scheduler);
   config.telemetry.trace = trace_path;  // empty = tracing off
   runner::Experiment experiment(config);
   EXPECT_EQ(experiment.tracing() != nullptr, !trace_path.empty());
@@ -374,33 +371,29 @@ Outcome run_once(net::SchedulerType scheduler, sim::SchedulerBackend backend,
 }
 
 // The central promise of the API: attaching a recorder observes the run
-// without perturbing it. Every discipline on both scheduler backends must
-// produce bit-identical metrics with tracing on and off.
+// without perturbing it. Every discipline must produce bit-identical
+// metrics with tracing on and off.
 TEST(TracingIdentityTest, TracedRunIsBitIdenticalAcrossDisciplines) {
   const net::SchedulerType disciplines[] = {
       net::SchedulerType::kFifo, net::SchedulerType::kWfq,
       net::SchedulerType::kDwrr, net::SchedulerType::kSpq,
       net::SchedulerType::kPfabric};
-  const sim::SchedulerBackend backends[] = {sim::SchedulerBackend::kHeap,
-                                            sim::SchedulerBackend::kCalendar};
   int variant = 0;
   for (const auto scheduler : disciplines) {
-    for (const auto backend : backends) {
-      SCOPED_TRACE(variant);
-      const std::string path = ::testing::TempDir() + "obs_identity_" +
-                               std::to_string(variant++) + ".json";
-      const Outcome untraced = run_once(scheduler, backend, "");
-      const Outcome traced = run_once(scheduler, backend, path);
-      EXPECT_GT(untraced.completed, 0u);
-      EXPECT_EQ(untraced.completed, traced.completed);
-      for (std::size_t qos = 0; qos < 2; ++qos) {
-        // Bitwise equality, not near-equality: tracing must not reorder a
-        // single event or perturb one RNG draw.
-        EXPECT_EQ(untraced.p999[qos], traced.p999[qos]);
-        EXPECT_EQ(untraced.share[qos], traced.share[qos]);
-      }
-      std::remove(path.c_str());
+    SCOPED_TRACE(variant);
+    const std::string path = ::testing::TempDir() + "obs_identity_" +
+                             std::to_string(variant++) + ".json";
+    const Outcome untraced = run_once(scheduler, "");
+    const Outcome traced = run_once(scheduler, path);
+    EXPECT_GT(untraced.completed, 0u);
+    EXPECT_EQ(untraced.completed, traced.completed);
+    for (std::size_t qos = 0; qos < 2; ++qos) {
+      // Bitwise equality, not near-equality: tracing must not reorder a
+      // single event or perturb one RNG draw.
+      EXPECT_EQ(untraced.p999[qos], traced.p999[qos]);
+      EXPECT_EQ(untraced.share[qos], traced.share[qos]);
     }
+    std::remove(path.c_str());
   }
 }
 
@@ -409,8 +402,7 @@ TEST(TracingIdentityTest, TracedRunIsBitIdenticalAcrossDisciplines) {
 // Chrome JSON must be a closed document.
 TEST(TracingIdentityTest, TraceCountersReconcileWithMetrics) {
   const std::string path = ::testing::TempDir() + "obs_reconcile.json";
-  auto config = traced_config(net::SchedulerType::kWfq,
-                              sim::SchedulerBackend::kCalendar);
+  auto config = traced_config(net::SchedulerType::kWfq);
   runner::Experiment experiment(config);
   EXPECT_EQ(experiment.tracing(), nullptr);
   const std::string csv_path = ::testing::TempDir() + "obs_reconcile.csv";

@@ -7,8 +7,8 @@
 //   * per-policy unit behavior (windowed base mechanics, ticket pool,
 //     bandit, SWP pacing, rejection adapter),
 //   * the determinism property: every registered policy produces identical
-//     metrics and schedule digests for a fixed seed across repeated runs,
-//     both scheduler backends, and shard counts 1/2/4, and
+//     metrics and schedule digests for a fixed seed across repeated runs
+//     and shard counts 1/2/4, and
 //   * gauge-bounds: every policy's gauges sit inside their documented
 //     [lo, hi] after a real workload.
 #include <gtest/gtest.h>
@@ -458,10 +458,8 @@ struct PolicyRun {
 };
 
 PolicyRun run_policy_workload(const std::string& kind, std::size_t shards,
-                              sim::SchedulerBackend backend,
                               std::uint64_t seed) {
   runner::ExperimentConfig config;
-  config.scheduler_backend = backend;
   config.num_hosts = 8;
   config.num_qos = 3;
   config.admission.kind = kind;
@@ -513,10 +511,8 @@ PolicyRun run_policy_workload(const std::string& kind, std::size_t shards,
 class PolicyDeterminismTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PolicyDeterminismTest, SameSeedSameMetricsAndDigest) {
-  const PolicyRun a = run_policy_workload(
-      GetParam(), 1, sim::SchedulerBackend::kCalendar, 42);
-  const PolicyRun b = run_policy_workload(
-      GetParam(), 1, sim::SchedulerBackend::kCalendar, 42);
+  const PolicyRun a = run_policy_workload(GetParam(), 1, 42);
+  const PolicyRun b = run_policy_workload(GetParam(), 1, 42);
   ASSERT_GT(a.completed, 100u) << "workload too light to mean anything";
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.completed, b.completed);
@@ -524,23 +520,10 @@ TEST_P(PolicyDeterminismTest, SameSeedSameMetricsAndDigest) {
   EXPECT_EQ(a.bytes, b.bytes);
 }
 
-TEST_P(PolicyDeterminismTest, BackendsAgree) {
-  const PolicyRun heap =
-      run_policy_workload(GetParam(), 1, sim::SchedulerBackend::kHeap, 42);
-  const PolicyRun cal = run_policy_workload(
-      GetParam(), 1, sim::SchedulerBackend::kCalendar, 42);
-  EXPECT_EQ(heap.digest, cal.digest);
-  EXPECT_EQ(heap.completed, cal.completed);
-  EXPECT_EQ(heap.downgraded, cal.downgraded);
-  EXPECT_EQ(heap.bytes, cal.bytes);
-}
-
 TEST_P(PolicyDeterminismTest, ShardCountsOneTwoFourAgree) {
-  const PolicyRun serial = run_policy_workload(
-      GetParam(), 1, sim::SchedulerBackend::kCalendar, 42);
+  const PolicyRun serial = run_policy_workload(GetParam(), 1, 42);
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    const PolicyRun sharded = run_policy_workload(
-        GetParam(), shards, sim::SchedulerBackend::kCalendar, 42);
+    const PolicyRun sharded = run_policy_workload(GetParam(), shards, 42);
     EXPECT_EQ(serial.digest, sharded.digest) << shards << " shards";
     EXPECT_EQ(serial.completed, sharded.completed) << shards << " shards";
     EXPECT_EQ(serial.downgraded, sharded.downgraded) << shards << " shards";

@@ -1,8 +1,7 @@
 // Tests for the execution profiler (src/obs/prof/, DESIGN.md §14):
 // Collector region-stack semantics, deterministic tree sampling, the
 // observe-only contract (profiled runs are result- and schedule-digest-
-// identical to unprofiled runs on both scheduler backends at 1/2/4
-// shards), and the --prof report outputs (JSON schema, Chrome tracks,
+// identical to unprofiled runs at 1/2/4 shards), and the --prof report outputs (JSON schema, Chrome tracks,
 // text summary).
 #include <cstdio>
 #include <fstream>
@@ -180,10 +179,8 @@ struct RunResult {
   std::vector<double> p999;
 };
 
-RunResult run_workload(sim::SchedulerBackend backend, std::size_t shards,
-                       const std::string& prof_path) {
+RunResult run_workload(std::size_t shards, const std::string& prof_path) {
   runner::ExperimentConfig config;
-  config.scheduler_backend = backend;
   config.num_hosts = 8;
   config.num_qos = 3;
   config.slo = rpc::SloConfig::make(
@@ -226,31 +223,25 @@ void remove_prof_outputs(const std::string& path) {
 }
 
 // The tentpole guarantee: enabling --prof changes no simulation result and
-// no schedule, on either scheduler backend, serial or sharded.
+// no schedule, serial or sharded.
 TEST(ProfIdentityTest, ProfiledRunIsResultAndDigestIdentical) {
-  for (const auto backend : {sim::SchedulerBackend::kHeap,
-                             sim::SchedulerBackend::kCalendar}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{4}}) {
-      if (shards > 1 && backend == sim::SchedulerBackend::kHeap) continue;
-      SCOPED_TRACE(std::string(sim::backend_name(backend)) + " x" +
-                   std::to_string(shards));
-      const std::string prof_path = ::testing::TempDir() + "prof_identity_" +
-                                    sim::backend_name(backend) + "_" +
-                                    std::to_string(shards) + ".json";
-      const RunResult bare = run_workload(backend, shards, "");
-      const RunResult profiled = run_workload(backend, shards, prof_path);
-      ASSERT_GT(bare.completed, 0u);
-      EXPECT_EQ(bare.completed, profiled.completed);
-      EXPECT_EQ(bare.events, profiled.events);
-      if (sim::kDigestBuildEnabled) {
-        EXPECT_EQ(bare.digest, profiled.digest);
-      }
-      for (std::size_t qos = 0; qos < bare.p999.size(); ++qos) {
-        EXPECT_EQ(bare.p999[qos], profiled.p999[qos]);
-      }
-      remove_prof_outputs(prof_path);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{4}}) {
+    SCOPED_TRACE("x" + std::to_string(shards));
+    const std::string prof_path = ::testing::TempDir() + "prof_identity_" +
+                                  std::to_string(shards) + ".json";
+    const RunResult bare = run_workload(shards, "");
+    const RunResult profiled = run_workload(shards, prof_path);
+    ASSERT_GT(bare.completed, 0u);
+    EXPECT_EQ(bare.completed, profiled.completed);
+    EXPECT_EQ(bare.events, profiled.events);
+    if (sim::kDigestBuildEnabled) {
+      EXPECT_EQ(bare.digest, profiled.digest);
     }
+    for (std::size_t qos = 0; qos < bare.p999.size(); ++qos) {
+      EXPECT_EQ(bare.p999[qos], profiled.p999[qos]);
+    }
+    remove_prof_outputs(prof_path);
   }
 }
 
@@ -262,12 +253,10 @@ TEST(ProfIdentityTest, ProfiledDigestAgreesAcrossShardCounts) {
     GTEST_SKIP() << "built with AEQ_SCHED_DIGEST=OFF";
   }
   const std::string base = ::testing::TempDir() + "prof_shards_";
-  const RunResult serial =
-      run_workload(sim::SchedulerBackend::kCalendar, 1, base + "1.json");
+  const RunResult serial = run_workload(1, base + "1.json");
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    const RunResult sharded = run_workload(
-        sim::SchedulerBackend::kCalendar, shards,
-        base + std::to_string(shards) + ".json");
+    const RunResult sharded =
+        run_workload(shards, base + std::to_string(shards) + ".json");
     EXPECT_EQ(sharded.digest, serial.digest) << shards << " shards";
     EXPECT_EQ(sharded.events, serial.events) << shards << " shards";
     remove_prof_outputs(base + std::to_string(shards) + ".json");
@@ -287,7 +276,7 @@ std::string slurp(const std::string& path) {
 
 TEST(ProfReportTest, SerialJsonReportHasSchemaAndSerialThread) {
   const std::string path = ::testing::TempDir() + "prof_serial_report.json";
-  run_workload(sim::SchedulerBackend::kCalendar, 1, path);
+  run_workload(1, path);
   const std::string json = slurp(path);
   EXPECT_NE(json.find("\"schema\":\"aeq-prof-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"label\":\"serial\""), std::string::npos);
@@ -304,7 +293,7 @@ TEST(ProfReportTest, SerialJsonReportHasSchemaAndSerialThread) {
 
 TEST(ProfReportTest, ShardedJsonReportHasExecutiveAndShardThreads) {
   const std::string path = ::testing::TempDir() + "prof_sharded_report.json";
-  run_workload(sim::SchedulerBackend::kCalendar, 4, path);
+  run_workload(4, path);
   const std::string json = slurp(path);
   EXPECT_NE(json.find("\"num_shards\":4"), std::string::npos);
   for (int k = 0; k < 4; ++k) {

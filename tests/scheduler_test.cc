@@ -1,163 +1,146 @@
-// Scheduler-backend tests: the heap/calendar equivalence property (same
-// seed => identical event order and identical experiment stats), the
-// generation-stamped cancellation contract, and CalendarQueue edge cases
-// (overflow cancellation, resize in both directions, tie-breaking,
-// next_time() purity).
+// Event-queue tests: the heap-oracle equivalence property (the same
+// operation stream through the CalendarQueue that Simulator runs on and the
+// heap EventQueue must yield identical pops), the generation-stamped
+// cancellation contract, and CalendarQueue edge cases (overflow
+// cancellation, resize in both directions, tie-breaking, next_time()
+// purity).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "rpc/slo.h"
-#include "runner/experiment.h"
 #include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
-#include "sim/simulator.h"
-#include "workload/size_dist.h"
 
 namespace aeq {
 namespace {
 
-// Same random schedule/cancel/pop trace applied to both backends through
-// the EventScheduler interface: every pop must return the same time, every
-// cancel the same verdict, and the fired-handler order must be identical.
+// One input to the equivalence property: how event times are drawn and
+// which parts of the queue contract the operation stream exercises.
+struct OpMix {
+  const char* name;
+  // Times snap to this grid (0 = continuous). A coarse grid makes exact
+  // timestamp ties the common case rather than a measure-zero accident.
+  double grid = 0.0;
+  bool ranked = false;       // pass explicit tie ranks on half the schedules
+  bool limited_pops = false;  // pop via pop_if_at_most with finite limits
+  bool peeks = false;        // interleave next_time() peeks
+  std::size_t reserve = 0;   // reserve_events() up front (and mid-run)
+};
+
+// Everything observable about a replay: the differential test requires
+// both queues to produce the same record.
+struct Replay {
+  std::vector<int> fired;
+  std::vector<double> popped_times;
+  std::vector<std::uint64_t> popped_keys;
+  std::vector<char> verdicts;  // cancel() and pop_if_at_most() results
+  std::vector<double> peeks;
+  std::vector<std::size_t> sizes;
+};
+
+// Applies the seeded random operation stream `mix` to `queue`. The stream
+// depends only on the seed and on the queue's observable answers, so two
+// queues that agree on every answer see the identical stream.
+template <typename Queue>
+Replay replay(const OpMix& mix, std::uint64_t seed) {
+  Queue queue;
+  Replay out;
+  if (mix.reserve > 0) queue.reserve_events(mix.reserve);
+  sim::Rng rng(seed);
+  std::vector<sim::EventId> ids;
+  double now = 0.0;
+  int next_label = 0;
+  auto draw_time = [&](bool ranked) {
+    // Mixed horizons: dense near-term, sparse far-future (overflow).
+    double dt = rng.bernoulli(0.9) ? rng.exponential(2e-6)
+                                   : rng.uniform(1e-3, 5e-3);
+    if (mix.grid > 0.0) dt = mix.grid * static_cast<double>(
+                                 static_cast<std::uint64_t>(dt / mix.grid));
+    // A ranked event sorts ahead of a default-rank one at the same time, so
+    // one scheduled at the clock would pop behind a tie that already left —
+    // out of (time, tie key) order, which the audited queues reject. Keep
+    // ranked events strictly in the future, as net::Port and ShardFabric
+    // do (they add serialization and propagation delay); exact ties then
+    // form among pending events.
+    if (ranked && dt == 0.0) dt = mix.grid;
+    return now + dt;
+  };
+  auto record = [&](sim::Popped& event) {
+    out.popped_times.push_back(event.time);
+    out.popped_keys.push_back(event.tie_key);
+    now = event.time;
+    event.handler();
+  };
+  for (int round = 0; round < 30000; ++round) {
+    const double action = rng.uniform();
+    if (action < 0.5 || queue.empty()) {
+      const bool ranked = mix.ranked && rng.bernoulli(0.5);
+      const double t = draw_time(ranked);
+      const int label = next_label++;
+      const std::uint16_t rank = ranked
+                                     ? static_cast<std::uint16_t>(rng.index(4))
+                                     : sim::kTieRankDefault;
+      ids.push_back(queue.schedule(
+          t, [&fired = out.fired, label] { fired.push_back(label); }, rank));
+    } else if (action < 0.65 && !ids.empty()) {
+      // Cancel a random known id (may have fired or been cancelled
+      // already); both queues must agree on the verdict.
+      out.verdicts.push_back(queue.cancel(ids[rng.index(ids.size())]) ? 1
+                                                                      : 0);
+    } else if (mix.reserve > 0 && action >= 0.9995) {
+      queue.reserve_events(2 * queue.size() + mix.reserve);
+    } else if (mix.peeks && action < 0.72) {
+      out.peeks.push_back(queue.next_time());
+    } else if (mix.limited_pops) {
+      // A limit at the clock or a random draw past it: events exactly at
+      // the limit must pop, later ones must stay queued untouched.
+      const double limit = rng.bernoulli(0.3) ? now : draw_time(false);
+      sim::Popped event;
+      const bool popped = queue.pop_if_at_most(limit, event);
+      out.verdicts.push_back(popped ? 1 : 0);
+      if (popped) record(event);
+    } else {
+      sim::Popped event = queue.pop();
+      record(event);
+    }
+    out.sizes.push_back(queue.size());
+  }
+  sim::Popped event;
+  while (queue.pop_if_at_most(std::numeric_limits<double>::infinity(),
+                              event)) {
+    record(event);
+  }
+  EXPECT_TRUE(queue.empty());
+  return out;
+}
+
+// The heap EventQueue is the oracle: the same operation stream through the
+// calendar must fire the same handlers at the same (time, tie key) and give
+// the same cancel/pop verdicts, peeks and sizes — for every input below.
 TEST(SchedulerEquivalenceTest, IdenticalEventOrderUnderRandomOps) {
-  const auto backends = {sim::SchedulerBackend::kHeap,
-                         sim::SchedulerBackend::kCalendar};
-  std::vector<std::vector<int>> fired_per_backend;
-  std::vector<std::vector<double>> popped_per_backend;
-  std::vector<std::vector<char>> verdicts_per_backend;
-  std::vector<std::vector<std::size_t>> sizes_per_backend;
-  for (const auto backend : backends) {
-    auto queue = sim::make_scheduler(backend);
-    sim::Rng rng(2024);  // same seed: same op trace for both backends
-    std::vector<sim::EventId> ids;
-    std::vector<int> fired;
-    std::vector<double> popped;
-    std::vector<char> verdicts;
-    std::vector<std::size_t> sizes;
-    double now = 0.0;
-    int next_label = 0;
-    for (int round = 0; round < 30000; ++round) {
-      const double action = rng.uniform();
-      if (action < 0.5 || queue->empty()) {
-        // Mixed horizons: dense near-term, sparse far-future (overflow).
-        const double t =
-            now + (rng.bernoulli(0.9) ? rng.exponential(2e-6)
-                                      : rng.uniform(1e-3, 5e-3));
-        const int label = next_label++;
-        ids.push_back(
-            queue->schedule(t, [&fired, label] { fired.push_back(label); }));
-      } else if (action < 0.65 && !ids.empty()) {
-        // Cancel a random known id (may have fired or been cancelled
-        // already); both backends must agree on the verdict.
-        verdicts.push_back(queue->cancel(ids[rng.index(ids.size())]) ? 1 : 0);
-      } else {
-        auto event = queue->pop();
-        popped.push_back(event.time);
-        now = event.time;
-        event.handler();
-      }
-      sizes.push_back(queue->size());
-    }
-    while (!queue->empty()) {
-      auto event = queue->pop();
-      popped.push_back(event.time);
-      event.handler();
-    }
-    fired_per_backend.push_back(std::move(fired));
-    popped_per_backend.push_back(std::move(popped));
-    verdicts_per_backend.push_back(std::move(verdicts));
-    sizes_per_backend.push_back(std::move(sizes));
-  }
-  ASSERT_EQ(fired_per_backend[0].size(), fired_per_backend[1].size());
-  EXPECT_EQ(fired_per_backend[0], fired_per_backend[1]);
-  EXPECT_EQ(popped_per_backend[0], popped_per_backend[1]);
-  EXPECT_EQ(verdicts_per_backend[0], verdicts_per_backend[1]);
-  EXPECT_EQ(sizes_per_backend[0], sizes_per_backend[1]);
-}
-
-// Full-stack determinism: an identical experiment config must produce
-// bit-identical traffic accounting and latency stats on either backend.
-TEST(SchedulerEquivalenceTest, ExperimentStatsIdenticalAcrossBackends) {
-  struct Result {
-    std::uint64_t events;
-    std::uint64_t requested[3];
-    std::uint64_t admitted[3];
-    std::uint64_t completed[3];
-    double p999[3];
+  const OpMix mixes[] = {
+      {"continuous"},
+      {"ranked-ties", 1e-6, true},
+      {"limited-pops-and-peeks", 0.0, false, true, true},
+      {"everything", 5e-7, true, true, true, 4096},
   };
-  auto run_once = [](sim::SchedulerBackend backend) {
-    runner::ExperimentConfig config;
-    config.scheduler_backend = backend;
-    config.num_hosts = 5;
-    config.num_qos = 3;
-    config.seed = 7;
-    config.slo = rpc::SloConfig::make(
-        {25.0 / 8 * sim::kUsec, 50.0 / 8 * sim::kUsec, 0.0}, 99.9);
-    runner::Experiment experiment(config);
-    const auto* sizes = experiment.own(
-        std::make_unique<workload::FixedSize>(32 * sim::kKiB));
-    workload::GeneratorConfig gen;
-    gen.classes = {{rpc::Priority::kPC, 0.5 * sim::gbps(100), sizes},
-                   {rpc::Priority::kBE, 0.5 * sim::gbps(100), sizes}};
-    for (std::size_t h = 0; h < config.num_hosts; ++h) {
-      experiment.add_generator(static_cast<net::HostId>(h), gen);
-    }
-    experiment.run(1 * sim::kMsec, 2 * sim::kMsec);
-    Result result;
-    result.events = experiment.simulator().events_processed();
-    for (std::size_t q = 0; q < 3; ++q) {
-      result.requested[q] = experiment.metrics().bytes_requested(q);
-      result.admitted[q] = experiment.metrics().bytes_admitted(q);
-      result.completed[q] = experiment.metrics().bytes_completed(q);
-      result.p999[q] = experiment.metrics().rnl_by_run_qos(q).p999();
-    }
-    return result;
-  };
-  const Result heap = run_once(sim::SchedulerBackend::kHeap);
-  const Result calendar = run_once(sim::SchedulerBackend::kCalendar);
-  EXPECT_GT(heap.events, 1000u);
-  EXPECT_EQ(heap.events, calendar.events);
-  for (std::size_t q = 0; q < 3; ++q) {
-    EXPECT_EQ(heap.requested[q], calendar.requested[q]) << "qos " << q;
-    EXPECT_EQ(heap.admitted[q], calendar.admitted[q]) << "qos " << q;
-    EXPECT_EQ(heap.completed[q], calendar.completed[q]) << "qos " << q;
-    EXPECT_DOUBLE_EQ(heap.p999[q], calendar.p999[q]) << "qos " << q;
-  }
-}
-
-TEST(SchedulerFactoryTest, NamesAndTypes) {
-  EXPECT_STREQ(sim::backend_name(sim::SchedulerBackend::kHeap), "heap");
-  EXPECT_STREQ(sim::backend_name(sim::SchedulerBackend::kCalendar),
-               "calendar");
-  EXPECT_NE(dynamic_cast<sim::EventQueue*>(
-                sim::make_scheduler(sim::SchedulerBackend::kHeap).get()),
-            nullptr);
-  EXPECT_NE(dynamic_cast<sim::CalendarQueue*>(
-                sim::make_scheduler(sim::SchedulerBackend::kCalendar).get()),
-            nullptr);
-}
-
-TEST(SimulatorBackendTest, ReportsConfiguredBackend) {
-  sim::Simulator heap_sim;  // heap is the Simulator-level default
-  EXPECT_EQ(heap_sim.backend(), sim::SchedulerBackend::kHeap);
-  sim::Simulator cal_sim(sim::SchedulerBackend::kCalendar);
-  EXPECT_EQ(cal_sim.backend(), sim::SchedulerBackend::kCalendar);
-  // Both dispatch the same three events in the same order.
-  for (sim::Simulator* s : {&heap_sim, &cal_sim}) {
-    std::vector<int> order;
-    s->schedule_in(3e-6, [&] { order.push_back(3); });
-    s->schedule_in(1e-6, [&] { order.push_back(1); });
-    s->schedule_in(2e-6, [&] { order.push_back(2); });
-    s->run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(s->events_processed(), 3u);
+  for (const OpMix& mix : mixes) {
+    SCOPED_TRACE(mix.name);
+    const Replay heap = replay<sim::EventQueue>(mix, 2024);
+    const Replay calendar = replay<sim::CalendarQueue>(mix, 2024);
+    ASSERT_EQ(heap.fired.size(), calendar.fired.size());
+    EXPECT_EQ(heap.fired, calendar.fired);
+    EXPECT_EQ(heap.popped_times, calendar.popped_times);
+    EXPECT_EQ(heap.popped_keys, calendar.popped_keys);
+    EXPECT_EQ(heap.verdicts, calendar.verdicts);
+    EXPECT_EQ(heap.peeks, calendar.peeks);
+    EXPECT_EQ(heap.sizes, calendar.sizes);
   }
 }
 

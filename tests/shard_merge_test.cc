@@ -50,7 +50,6 @@ std::map<std::string, std::set<std::string>> pid_names(
 TEST(ShardMergeTest, PortTracksStayDistinctAcrossShards) {
   constexpr std::size_t kShards = 4;
   runner::ExperimentConfig config;
-  config.scheduler_backend = sim::SchedulerBackend::kCalendar;
   config.num_hosts = 8;
   config.num_qos = 3;
   config.slo = rpc::SloConfig::make(
@@ -110,7 +109,6 @@ TEST(ShardMergeTest, PortTracksStayDistinctAcrossShards) {
 TEST(ShardMergeTest, MergedTraceUsesSingleSinkFramingAndRemovesInputs) {
   constexpr std::size_t kShards = 2;
   runner::ExperimentConfig config;
-  config.scheduler_backend = sim::SchedulerBackend::kCalendar;
   config.num_hosts = 4;
   config.num_qos = 3;
   config.slo = rpc::SloConfig::make(

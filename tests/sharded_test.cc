@@ -7,8 +7,8 @@
 //  * The determinism property (the PR's defining constraint): for a fixed
 //    seed, a 2- and 4-shard run produces RpcMetrics identical to the
 //    serial run — same sample multisets (percentiles, counts, maxima bit
-//    for bit), same byte/RPC accounting — on both scheduler backends,
-//    with invariant auditing enabled and clean.
+//    for bit), same byte/RPC accounting — with invariant auditing enabled
+//    and clean.
 //  * Event-count identity: with audit and telemetry off, the sum of
 //    per-shard event counts equals the serial count (the cross-shard
 //    handoff costs one tx-end plus one arrival event per packet, exactly
@@ -35,8 +35,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(ShardedSimulatorTest, RunsEventsOnEveryShardAndSyncsClocks) {
-  sim::ShardedSimulator sharded(3, sim::SchedulerBackend::kHeap,
-                                /*lookahead=*/1.0);
+  sim::ShardedSimulator sharded(3, /*lookahead=*/1.0);
   std::atomic<int> fired{0};
   for (std::size_t k = 0; k < sharded.num_shards(); ++k) {
     for (int i = 1; i <= 4; ++i) {
@@ -58,8 +57,7 @@ TEST(ShardedSimulatorTest, AdaptiveHorizonSkipsIdleGaps) {
   // Two events 1000 time units apart with lookahead 1: a fixed-step
   // window protocol would need ~1000 barriers; the adaptive horizon
   // chases the earliest pending event, so two windows suffice.
-  sim::ShardedSimulator sharded(2, sim::SchedulerBackend::kHeap,
-                                /*lookahead=*/1.0);
+  sim::ShardedSimulator sharded(2, /*lookahead=*/1.0);
   int fired = 0;
   sharded.shard(0).schedule_at(1.0, [&fired] { ++fired; });
   sharded.shard(1).schedule_at(1000.0, [&fired] { ++fired; });
@@ -71,8 +69,7 @@ TEST(ShardedSimulatorTest, AdaptiveHorizonSkipsIdleGaps) {
 TEST(ShardedSimulatorTest, BarrierCallbackMayScheduleAcrossShards) {
   // Model the fabric handoff: at each barrier, forward a token from shard
   // 0 into shard 1 at now + lookahead (the conservative-arrival bound).
-  sim::ShardedSimulator sharded(2, sim::SchedulerBackend::kCalendar,
-                                /*lookahead=*/0.5);
+  sim::ShardedSimulator sharded(2, /*lookahead=*/0.5);
   std::vector<double> deliveries;
   bool pending = false;
   sharded.set_barrier_callback([&] {
@@ -93,7 +90,7 @@ TEST(ShardedSimulatorTest, BarrierCallbackMayScheduleAcrossShards) {
 }
 
 TEST(ShardedSimulatorTest, RepeatedRunUntilAdvancesMonotonically) {
-  sim::ShardedSimulator sharded(2, sim::SchedulerBackend::kHeap, 1.0);
+  sim::ShardedSimulator sharded(2, 1.0);
   int fired = 0;
   sharded.shard(0).schedule_at(1.0, [&fired] { ++fired; });
   sharded.shard(1).schedule_at(5.0, [&fired] { ++fired; });
@@ -108,8 +105,7 @@ TEST(ShardedSimulatorTest, RepeatedRunUntilAdvancesMonotonically) {
 // One shard is the serial executive: shard 0 runs inline on the caller's
 // thread, with no windows and no barrier callback.
 TEST(ShardedSimulatorTest, OneShardRunsInlineOnTheCallingThread) {
-  sim::ShardedSimulator sharded(1, sim::SchedulerBackend::kCalendar,
-                                /*lookahead=*/0.0);
+  sim::ShardedSimulator sharded(1, /*lookahead=*/0.0);
   bool barrier_called = false;
   sharded.set_barrier_callback([&barrier_called] { barrier_called = true; });
   std::vector<std::thread::id> handler_threads;
@@ -211,11 +207,8 @@ void expect_identical(const MetricsSnapshot& serial,
   }
 }
 
-runner::ExperimentConfig sharded_config(std::size_t shards,
-                                        sim::SchedulerBackend backend,
-                                        bool audit) {
+runner::ExperimentConfig sharded_config(std::size_t shards, bool audit) {
   runner::ExperimentConfig config;
-  config.scheduler_backend = backend;
   config.num_hosts = 8;
   config.num_qos = 3;
   config.slo = rpc::SloConfig::make(
@@ -233,9 +226,8 @@ struct RunResult {
   std::uint64_t audit_passes = 0;
 };
 
-RunResult run_mixed_workload(std::size_t shards,
-                             sim::SchedulerBackend backend, bool audit) {
-  auto config = sharded_config(shards, backend, audit);
+RunResult run_mixed_workload(std::size_t shards, bool audit) {
+  auto config = sharded_config(shards, audit);
   runner::Experiment experiment(config);
   const auto* sizes = experiment.own(
       std::make_unique<workload::FixedSize>(16 * sim::kKiB));
@@ -277,8 +269,7 @@ class ShardSupportDeathTest : public ::testing::Test {
   }
 
   static runner::ExperimentConfig two_shards() {
-    return sharded_config(2, sim::SchedulerBackend::kCalendar,
-                          /*audit=*/false);
+    return sharded_config(2, /*audit=*/false);
   }
 };
 
@@ -319,21 +310,17 @@ TEST_F(ShardSupportDeathTest, SecondRunDies) {
   EXPECT_DEATH(experiment.run(0.0, 10 * sim::kUsec, 0.0), "one run\\(\\)");
 }
 
-class ShardDeterminismTest
-    : public ::testing::TestWithParam<sim::SchedulerBackend> {};
-
 // The PR's defining constraint: same seed, any shard count, identical
 // metrics — with auditing on and clean (a violated invariant aborts).
-TEST_P(ShardDeterminismTest, SameSeedAnyShardCountSameMetrics) {
-  const auto backend = GetParam();
-  const RunResult serial = run_mixed_workload(1, backend, /*audit=*/true);
+TEST(ShardDeterminismTest, SameSeedAnyShardCountSameMetrics) {
+  const RunResult serial = run_mixed_workload(1, /*audit=*/true);
   ASSERT_GT(serial.metrics.total_completed, 500u);
   ASSERT_GT(serial.metrics.downgraded[0], 0u)
       << "workload too light to exercise admission control";
   ASSERT_GT(serial.audit_passes, 0u);
 
   for (std::size_t shards : {2u, 4u}) {
-    const RunResult parallel = run_mixed_workload(shards, backend, true);
+    const RunResult parallel = run_mixed_workload(shards, true);
     expect_identical(serial.metrics, parallel.metrics, shards);
     EXPECT_GT(parallel.cross_shard, 0u)
         << "no cross-shard traffic: the test is not exercising the cut";
@@ -344,11 +331,10 @@ TEST_P(ShardDeterminismTest, SameSeedAnyShardCountSameMetrics) {
 // With audit and telemetry off, the sharded executive dispatches exactly
 // the serial event count: the handoff path costs one tx-end plus one
 // arrival event per packet, like the serial two-event link pipeline.
-TEST_P(ShardDeterminismTest, EventCountMatchesSerialWithAuditOff) {
-  const auto backend = GetParam();
-  const RunResult serial = run_mixed_workload(1, backend, /*audit=*/false);
+TEST(ShardDeterminismTest, EventCountMatchesSerialWithAuditOff) {
+  const RunResult serial = run_mixed_workload(1, /*audit=*/false);
   for (std::size_t shards : {2u, 4u}) {
-    const RunResult parallel = run_mixed_workload(shards, backend, false);
+    const RunResult parallel = run_mixed_workload(shards, false);
     EXPECT_EQ(serial.events, parallel.events) << "shards=" << shards;
     expect_identical(serial.metrics, parallel.metrics, shards);
   }
@@ -356,23 +342,13 @@ TEST_P(ShardDeterminismTest, EventCountMatchesSerialWithAuditOff) {
 
 // Reruns of the same sharded configuration are bit-stable (thread timing
 // must not leak into the simulation).
-TEST_P(ShardDeterminismTest, ShardedRunIsReproducible) {
-  const auto backend = GetParam();
-  const RunResult a = run_mixed_workload(2, backend, /*audit=*/false);
-  const RunResult b = run_mixed_workload(2, backend, /*audit=*/false);
+TEST(ShardDeterminismTest, ShardedRunIsReproducible) {
+  const RunResult a = run_mixed_workload(2, /*audit=*/false);
+  const RunResult b = run_mixed_workload(2, /*audit=*/false);
   expect_identical(a.metrics, b.metrics, 2);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.cross_shard, b.cross_shard);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothBackends, ShardDeterminismTest,
-    ::testing::Values(sim::SchedulerBackend::kHeap,
-                      sim::SchedulerBackend::kCalendar),
-    [](const ::testing::TestParamInfo<sim::SchedulerBackend>& param) {
-      return param.param == sim::SchedulerBackend::kHeap ? "heap"
-                                                         : "calendar";
-    });
 
 }  // namespace
 }  // namespace aeq

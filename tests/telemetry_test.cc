@@ -559,13 +559,12 @@ TEST(FailureSinkDeathTest, HookRunsBeforeAbort) {
 
 // --- experiment-level wiring ----------------------------------------------
 
-runner::ExperimentConfig wired_config(sim::SchedulerBackend backend) {
+runner::ExperimentConfig wired_config() {
   runner::ExperimentConfig config;
   config.num_hosts = 3;
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
   config.scheduler = net::SchedulerType::kWfq;
-  config.scheduler_backend = backend;
   config.buffer_bytes = 256 * 1024;
   config.slo = rpc::SloConfig::make({15.0 / 8 * sim::kUsec, 0.0}, 99.9);
   config.audit = false;
@@ -607,8 +606,8 @@ struct Outcome {
   std::vector<double> share;
 };
 
-Outcome run_once(sim::SchedulerBackend backend, const std::string& stem) {
-  runner::Experiment experiment(wired_config(backend));
+Outcome run_once(const std::string& stem) {
+  runner::Experiment experiment(wired_config());
   if (!stem.empty()) experiment.enable_telemetry(full_spec(stem));
   attach_overload(experiment);
   experiment.run(0.0, 3 * sim::kMsec);
@@ -623,28 +622,23 @@ Outcome run_once(sim::SchedulerBackend backend, const std::string& stem) {
 
 // The PR-4 guarantee extended to the windowed pipeline: timeseries +
 // watchdog + flight recorder all enabled must leave every simulation
-// result bit-identical, on both scheduler backends.
+// result bit-identical.
 TEST(TelemetryWiringTest, FullTelemetryIsBitIdentical) {
-  for (const auto backend : {sim::SchedulerBackend::kHeap,
-                             sim::SchedulerBackend::kCalendar}) {
-    SCOPED_TRACE(sim::backend_name(backend));
-    const std::string stem = ::testing::TempDir() + "telemetry_identity_" +
-                             sim::backend_name(backend);
-    const Outcome bare = run_once(backend, "");
-    const Outcome full = run_once(backend, stem);
-    EXPECT_GT(bare.completed, 0u);
-    EXPECT_EQ(bare.completed, full.completed);
-    for (std::size_t qos = 0; qos < 2; ++qos) {
-      EXPECT_EQ(bare.p999[qos], full.p999[qos]);
-      EXPECT_EQ(bare.share[qos], full.share[qos]);
-    }
-    remove_outputs(stem);
+  const std::string stem = ::testing::TempDir() + "telemetry_identity";
+  const Outcome bare = run_once("");
+  const Outcome full = run_once(stem);
+  EXPECT_GT(bare.completed, 0u);
+  EXPECT_EQ(bare.completed, full.completed);
+  for (std::size_t qos = 0; qos < 2; ++qos) {
+    EXPECT_EQ(bare.p999[qos], full.p999[qos]);
+    EXPECT_EQ(bare.share[qos], full.share[qos]);
   }
+  remove_outputs(stem);
 }
 
 TEST(TelemetryWiringTest, WatchdogFiresOnOverloadAndFlightDumps) {
   const std::string stem = ::testing::TempDir() + "telemetry_overload";
-  runner::Experiment experiment(wired_config(sim::SchedulerBackend::kCalendar));
+  runner::Experiment experiment(wired_config());
   experiment.enable_telemetry(full_spec(stem));
   ASSERT_NE(experiment.tracing(), nullptr);
   ASSERT_NE(experiment.timeseries(), nullptr);
@@ -685,7 +679,7 @@ TEST(TelemetryWiringTest, WatchdogFiresOnOverloadAndFlightDumps) {
 
 TEST(TelemetryWiringTest, CalmRunStaysSilent) {
   const std::string stem = ::testing::TempDir() + "telemetry_calm";
-  runner::Experiment experiment(wired_config(sim::SchedulerBackend::kCalendar));
+  runner::Experiment experiment(wired_config());
   experiment.enable_telemetry(full_spec(stem));
   const auto* sizes = experiment.own(
       std::make_unique<workload::FixedSize>(32 * sim::kKiB));
@@ -701,7 +695,7 @@ TEST(TelemetryWiringTest, CalmRunStaysSilent) {
 }
 
 TEST(TelemetryWiringTest, EnableTelemetryTwiceDies) {
-  runner::Experiment experiment(wired_config(sim::SchedulerBackend::kHeap));
+  runner::Experiment experiment(wired_config());
   experiment.enable_telemetry(full_spec(::testing::TempDir() + "tel_twice"));
   EXPECT_DEATH(experiment.enable_telemetry(
                    full_spec(::testing::TempDir() + "tel_twice2")),
@@ -717,8 +711,7 @@ TEST(TelemetryWiringDeathTest, AssertFailureLeavesFlightDump) {
   remove_outputs(stem);
   EXPECT_DEATH(
       {
-        runner::Experiment experiment(
-            wired_config(sim::SchedulerBackend::kCalendar));
+        runner::Experiment experiment(wired_config());
         experiment.enable_telemetry(full_spec(stem));
         attach_overload(experiment);
         experiment.run(0.0, 500 * sim::kUsec);

@@ -179,6 +179,20 @@ TEST(BenchArgsDeathTest, ShardsBelowOneExitsWithUsageError) {
   }
 }
 
+// An unknown flag (a typo such as --shard=4, or one a bench no longer
+// takes) is a usage error naming the flag; a bench's declared extras pass.
+TEST(BenchArgsDeathTest, UnknownFlagExitsWithUsageErrorNamingIt) {
+  const char* typo[] = {"bench", "--shard=4"};
+  EXPECT_EXIT(bench::parse_args(2, const_cast<char**>(typo)),
+              ::testing::ExitedWithCode(2), "unknown flag --shard");
+  const char* extra[] = {"bench", "--hosts=8", "--bogus-flag=7"};
+  EXPECT_EXIT(bench::parse_args(3, const_cast<char**>(extra), {"hosts"}),
+              ::testing::ExitedWithCode(2), "unknown flag --bogus-flag");
+  const bench::BenchArgs args =
+      bench::parse_args(2, const_cast<char**>(extra), {"hosts"});
+  EXPECT_EQ(args.flags.get_int("hosts", 0), 8);
+}
+
 TEST(BenchArgsTest, ShardsDefaultToOne) {
   const char* argv[] = {"bench"};
   EXPECT_EQ(bench::parse_args(1, const_cast<char**>(argv)).shards, 1u);

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_hotpath.json: the committed speed artifact for the
 # hot-path overhaul (DESIGN.md §10) and the sharded executive (DESIGN.md
-# §11). Runs perf_probe end to end on both scheduler backends with
-# telemetry off and fully on, sweeps the conservative-PDES shard count
-# (1/2/4, calendar backend), runs the micro_core scheduler/queue
+# §11). Runs perf_probe end to end with telemetry off and fully on, sweeps
+# the conservative-PDES shard count (1/2/4), runs the micro_core
+# scheduler/queue
 # microbenchmarks, captures a per-component execution profile (serial and
 # 4-shard `--prof` runs, DESIGN.md §14), and emits one JSON document whose
 # schema is checked by `tools/validate_trace.py --bench-json`.
@@ -24,7 +24,7 @@ build_dir=${1:-build}
 out=${2:-BENCH_hotpath.json}
 probe="$build_dir/bench/perf_probe"
 micro="$build_dir/bench/micro_core"
-probe_args=(--warmup-ms=2 --run-ms=8 --backend=both)
+probe_args=(--warmup-ms=2 --run-ms=8)
 
 for bin in "$probe" "$micro"; do
   [[ -x "$bin" ]] || {
@@ -36,26 +36,20 @@ done
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
-# perf_probe prints one "[backend] ... N events in T = R M events/sec" line
-# per backend; --backend=both runs the same deterministic workload on each.
-# The telemetry runs go backend-by-backend: the bench telemetry flags
-# attach to exactly one experiment (trace-point 0, the first), so a single
-# --backend=both invocation would leave the second backend untraced.
+# perf_probe prints one "[calendar] ... N events in T = R M events/sec"
+# line, labelled with the scheduler the executive runs on.
 "$probe" "${probe_args[@]}" > "$scratch/plain.txt"
-for backend in heap calendar; do
-  "$probe" --warmup-ms=2 --run-ms=8 --backend="$backend" \
-    --timeseries "$scratch/$backend-ts" \
-    --watchdog "$scratch/$backend-watchdog.log" \
-    --flight-recorder "$scratch/$backend-flight.json" \
-    >> "$scratch/telemetry.txt"
-done
+"$probe" "${probe_args[@]}" \
+  --timeseries "$scratch/ts" \
+  --watchdog "$scratch/watchdog.log" \
+  --flight-recorder "$scratch/flight.json" \
+  > "$scratch/telemetry.txt"
 # Shard-count sweep: serial reference first (shards=1 is the plain serial
 # executive), then the parallel windows. Same seed and workload, so the
 # event counts must agree exactly across shard counts — the validator
 # enforces that identity.
 for shards in 1 2 4; do
-  "$probe" --warmup-ms=2 --run-ms=8 --backend=calendar --shards="$shards" \
-    >> "$scratch/sharded.txt"
+  "$probe" "${probe_args[@]}" --shards="$shards" >> "$scratch/sharded.txt"
 done
 cores=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
 
@@ -63,9 +57,9 @@ cores=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
 # component (obs/prof regions) and, at 4 shards, by shard. Profiling is
 # observe-only, so these runs dispatch the identical event sequence as the
 # unprofiled ones above — the generator script checks the counts agree.
-"$probe" --warmup-ms=2 --run-ms=8 --backend=calendar \
+"$probe" "${probe_args[@]}" \
   --prof="$scratch/prof_serial.json" > /dev/null 2>&1
-"$probe" --warmup-ms=2 --run-ms=8 --backend=calendar --shards=4 \
+"$probe" "${probe_args[@]}" --shards=4 \
   --prof="$scratch/prof_sharded.json" > /dev/null 2>&1
 
 "$micro" --benchmark_format=json --benchmark_out="$scratch/micro.json" \
@@ -83,7 +77,7 @@ LINE = re.compile(
     r"\[(\w+)\s*\].*?(\d+) events in [\d.]+s = ([\d.]+)M events/sec"
 )
 # Sharded runs label themselves "[calendar x<K>]"; shards=1 prints the
-# plain backend label.
+# plain label.
 SHARDED_LINE = re.compile(
     r"\[(\w+)(?: x(\d+))?\s*\].*?(\d+) events in [\d.]+s = "
     r"([\d.]+)M events/sec"
@@ -105,8 +99,8 @@ def parse_probe(path, telemetry):
                     "events_per_sec_millions": float(match.group(3)),
                 }
             )
-    if len(results) != 2:
-        sys.exit(f"bench_hotpath: expected 2 backend lines in {path}")
+    if len(results) != 1:
+        sys.exit(f"bench_hotpath: expected 1 probe line in {path}")
     return results
 
 
@@ -176,8 +170,7 @@ def profile_section(serial_path, sharded_path):
         if t["label"] != "coordinator"
     ]
     return {
-        "command": "perf_probe --warmup-ms=2 --run-ms=8 --backend=calendar"
-        " [--shards=4] --prof=...",
+        "command": "perf_probe --warmup-ms=2 --run-ms=8 [--shards=4] --prof=...",
         "serial": {
             "events": serial["events_processed"],
             "events_per_sec_millions": round(
@@ -210,9 +203,6 @@ for bench in micro["benchmarks"]:
         "name": bench["name"],
         "cpu_ns_per_op": round(bench["cpu_time"], 1),
     }
-    label = bench.get("label")
-    if label:
-        entry["name"] = f'{bench["name"].rsplit("/", 1)[0]}/{label}'
     if "items_per_second" in bench:
         entry["items_per_second"] = round(bench["items_per_second"])
     micro_results.append(entry)
@@ -226,8 +216,7 @@ doc = {
         + parse_probe(f"{scratch}/telemetry.txt", True),
     },
     "sharded": {
-        "command": "perf_probe --warmup-ms=2 --run-ms=8 --backend=calendar"
-        " --shards=<1|2|4>",
+        "command": "perf_probe --warmup-ms=2 --run-ms=8 --shards=<1|2|4>",
         "cores": cores,
         "results": parse_sharded(f"{scratch}/sharded.txt"),
     },

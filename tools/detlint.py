@@ -2,8 +2,8 @@
 """detlint — determinism lint for the Aequitas simulator tree.
 
 The repo's headline invariant is that a run is a pure function of its seed:
-same seed => same schedule => same metrics, bit for bit, on either scheduler
-backend and at any shard count (DESIGN.md §12). This checker statically
+same seed => same schedule => same metrics, bit for bit, at any shard
+count (DESIGN.md §12). This checker statically
 enforces the source-level side of that contract. It is compile-database
 driven: the file set is taken from the compile_commands.json that CMake
 exports (CMAKE_EXPORT_COMPILE_COMMANDS), plus the headers next to it, so it

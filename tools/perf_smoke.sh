@@ -9,8 +9,8 @@
 #   AEQ_PERF_TELEMETRY=1  full windowed telemetry on (timeseries + watchdog +
 #                         flight recorder; events_per_sec_millions_telemetry)
 #                         — guards the enabled-path cost of the pipeline
-#   AEQ_PERF_SHARDED=1    2-shard conservative-PDES run on the calendar
-#                         backend (events_per_sec_millions_sharded) — guards
+#   AEQ_PERF_SHARDED=1    2-shard conservative-PDES run
+#                         (events_per_sec_millions_sharded) — guards
 #                         the barrier/mailbox overhead. This is a throughput
 #                         floor, not a speedup check (it must hold even on a
 #                         single-core CI runner, where the two shard workers
@@ -62,38 +62,24 @@ elif [[ "${AEQ_PERF_PROF:-0}" == "1" ]]; then
   trap 'rm -rf "$scratch"' EXIT
 fi
 
-# Prints the best backend's events/sec for one probe iteration. Telemetry
-# mode runs the backends separately: the bench --timeseries/--watchdog
-# flags attach to exactly one experiment (trace-point 0, the first), so a
-# single --backend=both invocation would leave the second backend untraced
-# and measure the wrong thing.
+# Prints the events/sec of one probe iteration.
 measure_once() {
   local parse='s/.*= \([0-9.]*\)M events\/sec.*/\1/p'
   if [[ "$telemetry" == "1" ]]; then
-    local backend rate best_rate=0
-    for backend in heap calendar; do
-      rate=$("$probe" --warmup-ms=2 --run-ms=4 --backend="$backend" \
-        --timeseries "$scratch/$backend-ts" \
-        --watchdog "$scratch/$backend-watchdog.log" \
-        --flight-recorder "$scratch/$backend-flight.json" |
-        sed -n "$parse")
-      [[ -n "$rate" ]] || return 1
-      best_rate=$(awk -v a="$best_rate" -v b="$rate" \
-        'BEGIN { print (b > a) ? b : a }')
-    done
-    echo "$best_rate"
-  elif [[ "$sharded" == "1" ]]; then
-    "$probe" --warmup-ms=2 --run-ms=4 --backend=calendar --shards=2 |
+    "$probe" --warmup-ms=2 --run-ms=4 \
+      --timeseries "$scratch/ts" \
+      --watchdog "$scratch/watchdog.log" \
+      --flight-recorder "$scratch/flight.json" |
       sed -n "$parse"
+  elif [[ "$sharded" == "1" ]]; then
+    "$probe" --warmup-ms=2 --run-ms=4 --shards=2 | sed -n "$parse"
   elif [[ "$prof" == "1" ]]; then
     # The probe's stdout is byte-identical with profiling on (the report
     # goes to files and stderr), so the same parse works.
-    "$probe" --warmup-ms=2 --run-ms=4 --backend=calendar \
-      --prof="$scratch/prof.json" 2>/dev/null |
-      sed -n "$parse"
+    "$probe" --warmup-ms=2 --run-ms=4 --prof="$scratch/prof.json" \
+      2>/dev/null | sed -n "$parse"
   else
-    "$probe" --warmup-ms=2 --run-ms=4 --backend=both |
-      sed -n "$parse" | sort -g | tail -1
+    "$probe" --warmup-ms=2 --run-ms=4 | sed -n "$parse"
   fi
 }
 

@@ -41,10 +41,8 @@ by mangling a fresh report and expecting a non-zero exit.
 
 Finally, --bench-json checks the committed speed artifact
 (BENCH_hotpath.json, written by tools/bench_hotpath.sh): schema version,
-one perf_probe result per backend x telemetry combination with positive
-events/sec, matching event counts across backends for the same telemetry
-mode (the two schedulers must dispatch the identical event sequence),
-a sharded section covering shard counts 1/2/4 whose event counts agree
+one calendar perf_probe result per telemetry mode with positive
+events/sec, a sharded section covering shard counts 1/2/4 whose event counts agree
 exactly (a sharded run must reproduce the serial event sequence) with a
 speedup floor at 4 shards when the recording machine had >= 4 cores,
 well-formed micro_core entries, and a profile section (schema v3) that
@@ -609,7 +607,6 @@ def validate_prof_json(path):
 
 
 BENCH_SCHEMA_VERSION = 3
-BENCH_BACKENDS = {"heap", "calendar"}
 BENCH_SHARD_COUNTS = [1, 2, 4]
 # Speedup floor at 4 shards, applied only when the recording machine had at
 # least that many cores (on fewer cores shard workers time-slice and the
@@ -654,22 +651,22 @@ def validate_bench_json(path):
         bench_fail(path, "perf_probe", "missing results array")
     if not isinstance(probe.get("command"), str):
         bench_fail(path, "perf_probe", "missing command string")
-    seen = {}
-    events = {}
+    # The executive runs on the calendar queue only, so each telemetry mode
+    # has exactly one row.
+    telemetry_modes = []
     for index, result in enumerate(probe["results"]):
         where = f"perf_probe.results[{index}]"
         if not isinstance(result, dict):
             bench_fail(path, where, "result is not an object")
-        backend = result.get("backend")
-        if backend not in BENCH_BACKENDS:
-            bench_fail(path, where, f"unknown backend {backend!r}")
+        if result.get("backend") != "calendar":
+            bench_fail(
+                path, where, f"backend {result.get('backend')!r}, expected "
+                "'calendar'"
+            )
         telemetry = result.get("telemetry")
         if not isinstance(telemetry, bool):
             bench_fail(path, where, "telemetry is not a bool")
-        combo = (backend, telemetry)
-        if combo in seen:
-            bench_fail(path, where, f"duplicate combination {combo}")
-        seen[combo] = where
+        telemetry_modes.append(telemetry)
         bench_positive(path, where, "events", result.get("events"))
         bench_positive(
             path,
@@ -677,26 +674,13 @@ def validate_bench_json(path):
             "events_per_sec_millions",
             result.get("events_per_sec_millions"),
         )
-        # Both backends must dispatch the identical event sequence for the
-        # same workload; a count mismatch means determinism broke.
-        events.setdefault(telemetry, {})[backend] = result["events"]
-    for backend in BENCH_BACKENDS:
-        for telemetry in (False, True):
-            if (backend, telemetry) not in seen:
-                bench_fail(
-                    path,
-                    "perf_probe.results",
-                    f"missing combination ({backend}, telemetry="
-                    f"{telemetry})",
-                )
-    for telemetry, by_backend in events.items():
-        if len(set(by_backend.values())) != 1:
-            bench_fail(
-                path,
-                "perf_probe.results",
-                f"event counts diverge across backends (telemetry="
-                f"{telemetry}): {by_backend}",
-            )
+    if sorted(telemetry_modes) != [False, True]:
+        bench_fail(
+            path,
+            "perf_probe.results",
+            f"telemetry modes {telemetry_modes}, expected one row each for "
+            "False and True",
+        )
 
     sharded = doc.get("sharded")
     if not isinstance(sharded, dict) or not isinstance(
