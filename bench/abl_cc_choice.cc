@@ -96,5 +96,5 @@ int main(int argc, char** argv) {
   for (const auto& point : sweep.run()) table.add_rows(point.rows);
   bench::emit(table, args);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

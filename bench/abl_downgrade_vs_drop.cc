@@ -138,5 +138,5 @@ int main(int argc, char** argv) {
               "keeps the link busy delivering rejected traffic on the "
               "scavenger class, dropping destroys it outright.\n");
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -99,5 +99,5 @@ int main(int argc, char** argv) {
               "feedback alone relocates the admission decision to whatever "
               "path segment is overloaded.\n");
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -140,5 +140,5 @@ int main(int argc, char** argv) {
   std::printf("\nThe quota server turns per-channel fairness into weighted "
               "per-tenant guarantees without touching the latency SLO.\n");
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

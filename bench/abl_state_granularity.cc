@@ -131,5 +131,5 @@ int main(int argc, char** argv) {
               "global state collaterally downgrades traffic to idle "
               "destinations.\n");
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -116,5 +116,5 @@ int main(int argc, char** argv) {
               "the delay analysis is implementation-agnostic.\n",
               worst_gap);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

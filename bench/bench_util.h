@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runner/experiment.h"
@@ -67,6 +69,10 @@ struct TraceRequest {
   // the profiled point's stdout stays byte-identical.
   std::string prof;
   int point = 0;  // --trace-point N: which apply() site fires
+  // Set once the requested point has been applied; shared by every copy a
+  // bench hands to its sweep workers (see bench::exit_code).
+  std::shared_ptr<std::atomic<bool>> applied =
+      std::make_shared<std::atomic<bool>>(false);
 
   bool enabled() const {
     return !trace.empty() || !trace_csv.empty() || !timeseries.empty() ||
@@ -93,6 +99,7 @@ struct TraceRequest {
   // order they are submitted/constructed.
   void apply(runner::Experiment& experiment, int point_index = 0) const {
     if (!enabled() || point_index != point) return;
+    applied->store(true);
     const runner::TelemetrySpec telemetry = spec();
     if (telemetry.any()) experiment.enable_telemetry(telemetry);
     if (!prof.empty()) {
@@ -118,11 +125,14 @@ struct TraceRequest {
 //   --prof PATH     execution profile for one point: per-component JSON
 //                   report at PATH (+ `.trace.json` flame rows, stderr
 //                   summary); observe-only, stdout stays byte-identical
-//   --trace-point N which point gets the telemetry (default 0, the first)
+//   --trace-point N which point gets the telemetry (default 0, the first);
+//                   a point the bench never reaches is a usage error
+//                   (bench::exit_code)
+// Two more are parsed here but accepted only from benches that name them in
+// `extra_flags`, because only those wire them into their config:
 //   --shards N      intra-run parallelism (ExperimentConfig::shards): each
 //                   simulation point runs on N conservative-PDES shards;
-//                   results are identical for any N (benches that honor it
-//                   wire args.shards into their config)
+//                   results are identical for any N
 //   --schedule-digest  print the canonical schedule digest (sim/digest.h)
 //                   per point — the fingerprint of the dispatched event
 //                   schedule. Identical across shard counts and
@@ -134,8 +144,8 @@ struct BenchArgs {
   runner::SweepOptions sweep;
   std::string csv_path;
   std::string json_path;
-  std::size_t shards = 1;
-  bool schedule_digest = false;
+  std::size_t shards = 1;         // --shards, where declared
+  bool schedule_digest = false;  // --schedule-digest, where declared
   TraceRequest trace;
   tools::Flags flags;       // bench-specific extras stay queryable
   bool machine_started = false;  // first emit truncates, later ones append
@@ -149,19 +159,27 @@ inline BenchArgs parse_args(int argc, char** argv,
     std::fprintf(stderr, "%s: %s\n", argv[0], args.flags.error().c_str());
     std::exit(2);
   }
+  const auto declared = [&extra_flags](std::string_view name) {
+    return std::find(extra_flags.begin(), extra_flags.end(), name) !=
+           extra_flags.end();
+  };
   args.sweep.jobs = runner::resolve_jobs(args.flags.get_int("jobs", 0));
   args.sweep.base_seed =
       static_cast<std::uint64_t>(args.flags.get_int("seed", 1));
   args.csv_path = args.flags.get("csv");
   args.json_path = args.flags.get("json");
-  const std::int64_t shards = args.flags.get_int("shards", 1);
-  if (shards < 1) {
-    std::fprintf(stderr, "%s: --shards must be at least 1 (got %lld)\n",
-                 argv[0], static_cast<long long>(shards));
-    std::exit(2);
+  if (declared("shards")) {
+    const std::int64_t shards = args.flags.get_int("shards", 1);
+    if (shards < 1) {
+      std::fprintf(stderr, "%s: --shards must be at least 1 (got %lld)\n",
+                   argv[0], static_cast<long long>(shards));
+      std::exit(2);
+    }
+    args.shards = static_cast<std::size_t>(shards);
   }
-  args.shards = static_cast<std::size_t>(shards);
-  args.schedule_digest = args.flags.get_bool("schedule-digest", false);
+  if (declared("schedule-digest")) {
+    args.schedule_digest = args.flags.get_bool("schedule-digest", false);
+  }
   args.trace.trace = args.flags.get("trace");
   args.trace.trace_csv = args.flags.get("trace-csv");
   args.trace.timeseries = args.flags.get("timeseries");
@@ -177,14 +195,23 @@ inline BenchArgs parse_args(int argc, char** argv,
   args.trace.point = static_cast<int>(args.flags.get_int("trace-point", 0));
   // A mistyped flag (say --shard=4) must not silently run the default.
   for (const std::string& name : args.flags.unused()) {
-    if (std::find(extra_flags.begin(), extra_flags.end(), name) !=
-        extra_flags.end()) {
-      continue;
-    }
+    if (declared(name)) continue;
     std::fprintf(stderr, "%s: unknown flag --%s\n", argv[0], name.c_str());
     std::exit(2);
   }
   return args;
+}
+
+// A bench's exit status once its points have run: 0, or 2 (a usage error,
+// reported on stderr) when a telemetry flag asked for a point the bench
+// never reached, so that nothing was traced or profiled.
+inline int exit_code(const BenchArgs& args, const char* argv0) {
+  if (!args.trace.enabled() || args.trace.applied->load()) return 0;
+  std::fprintf(stderr,
+               "%s: --trace-point=%d names no point of this bench; nothing "
+               "was traced\n",
+               argv0, args.trace.point);
+  return 2;
 }
 
 namespace detail {

@@ -77,5 +77,5 @@ int main(int argc, char** argv) {
   std::printf("\nNote: PC's p99.9 is far above its median — large "
               "performance-critical RPCs exist, so size != priority.\n");
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

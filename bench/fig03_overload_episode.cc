@@ -137,5 +137,5 @@ int main(int argc, char** argv) {
               "behind the surge; with Aequitas the admitted PC tail stays "
               "flat and the surge (plus excess PC) is downgraded.\n");
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -38,5 +38,5 @@ int main(int argc, char** argv) {
   std::printf("Numeric admissible-region edge: QoSh-share = %.1f%%\n",
               analysis::max_admissible_share(params) * 100.0);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

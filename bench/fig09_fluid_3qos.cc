@@ -50,5 +50,5 @@ int main(int argc, char** argv) {
   run_panel("a", {8.0, 4.0, 1.0}, args);
   run_panel("b", {50.0, 4.0, 1.0}, args);
   aeq::bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

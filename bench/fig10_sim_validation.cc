@@ -111,5 +111,5 @@ int main(int argc, char** argv) {
               "(normalized to the period)\n",
               worst_gap);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -71,5 +71,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nSLO: QoS_h 25us, QoS_m 50us (p99.9, 32KB RPCs)\n");
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -84,5 +84,5 @@ int main(int argc, char** argv) {
             args);
   print_cdf("QoS_l outstanding RPCs:", cdfs[0].low, cdfs[1].low, args);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

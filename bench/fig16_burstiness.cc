@@ -66,5 +66,5 @@ int main(int argc, char** argv) {
               "to burstiness\n",
               C);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -29,5 +29,5 @@ int main(int argc, char** argv) {
               r.steady_p_admit[0], r.steady_p_admit[1],
               r.steady_p_admit[1] / r.steady_p_admit[0]);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

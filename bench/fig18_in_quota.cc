@@ -28,5 +28,5 @@ int main(int argc, char** argv) {
               "(paper: 0.82)\n",
               r.steady_p_admit[0], r.p_admit_samples[0].percentile(1.0));
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

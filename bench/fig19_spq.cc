@@ -83,5 +83,5 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -111,5 +111,5 @@ int main(int argc, char** argv) {
               100 * baseline.shares[2], 100 * aequitas.shares[0],
               100 * aequitas.shares[1], 100 * aequitas.shares[2]);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -107,7 +107,8 @@ double duration_ms(const bench::BenchArgs& args, const char* argv0,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args =
-      bench::parse_args(argc, argv, {"hosts", "warmup-ms", "run-ms"});
+      bench::parse_args(argc, argv, {"hosts", "warmup-ms", "run-ms", "shards",
+                                     "schedule-digest"});
   Fig21Params params;
   const std::int64_t hosts = args.flags.get_int("hosts", 144);
   if (hosts < 2) {
@@ -168,5 +169,5 @@ int main(int argc, char** argv) {
     for (const auto& line : digest_lines) std::printf("%s\n", line.c_str());
   }
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

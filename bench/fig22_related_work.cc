@@ -20,6 +20,7 @@
 // residual ~20Gbps lets SRPT finish even multi-MB RPCs within their
 // size-proportional budgets, so the large-RPC starvation that sinks SRPT
 // in the paper's workload only partially materializes in ours.
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <memory>
@@ -29,7 +30,6 @@
 
 #include "bench/bench_util.h"
 #include "policy/registry.h"
-#include "runner/protocol_experiment.h"
 
 namespace {
 
@@ -49,6 +49,56 @@ rpc::SloConfig make_slo() {
       {kSloHPerMtu * sim::kUsec, kSloMPerMtu * sim::kUsec, 0.0}, 99.9);
 }
 
+// The compared systems, in row order: Aequitas on the paper's stack, then
+// the five baseline stacks.
+constexpr runner::BaselineProtocol kSystems[] = {
+    runner::BaselineProtocol::kNone, runner::BaselineProtocol::kPfabric,
+    runner::BaselineProtocol::kQjump, runner::BaselineProtocol::kD3,
+    runner::BaselineProtocol::kPdq,  runner::BaselineProtocol::kHoma};
+
+// Splits a comma-separated flag value ("a,b,c") into its items.
+std::vector<std::string> split_list(std::string_view list) {
+  std::vector<std::string> items;
+  while (!list.empty()) {
+    const auto comma = list.find(',');
+    items.emplace_back(list.substr(0, comma));
+    if (comma == std::string_view::npos) break;
+    list.remove_prefix(comma + 1);
+  }
+  return items;
+}
+
+const char* system_name(runner::BaselineProtocol baseline) {
+  return baseline == runner::BaselineProtocol::kNone
+             ? "Aequitas"
+             : runner::baseline_name(baseline);
+}
+
+// The 33-node setup every system runs on. The baselines have no admission
+// control of their own, so they admit everything.
+runner::ExperimentConfig make_config(runner::BaselineProtocol baseline,
+                                     std::uint64_t seed) {
+  runner::ExperimentConfig config;
+  config.num_hosts = 33;
+  config.num_qos = 3;
+  config.wfq_weights = {8.0, 4.0, 1.0};
+  config.slo = make_slo();
+  config.seed = seed;
+  config.baseline = baseline;
+  if (baseline != runner::BaselineProtocol::kNone) {
+    config.admission.kind = policy::kAlwaysAdmit;
+  }
+  // pFabric's shallow per-port buffer: ~2.5 BDP at 100G.
+  if (baseline == runner::BaselineProtocol::kPfabric) {
+    config.buffer_bytes = 160 * 1024;
+  }
+  // QJump provisioned for the expected per-level load (0.4/0.24 of line
+  // rate on h/m): caps hold packet latency down but bursts above the cap
+  // queue at the host.
+  config.qjump_level_rate_fraction = {0.45, 0.30, 0.0};
+  return config;
+}
+
 struct Row {
   const char* name;
   double met_h;      // % of QoS_h traffic meeting SLO
@@ -58,8 +108,7 @@ struct Row {
   double terminated; // % of deadline RPCs killed
 };
 
-template <typename Experiment>
-void attach_workload(Experiment& experiment, bool with_deadlines,
+void attach_workload(runner::Experiment& experiment, bool with_deadlines,
                      double offered_load = kOfferedLoad) {
   bench::AllToAllSpec spec;
   spec.load = offered_load;
@@ -72,32 +121,21 @@ void attach_workload(Experiment& experiment, bool with_deadlines,
     spec.deadline_budget = {kDeadlineH * sim::kUsec, kDeadlineM * sim::kUsec,
                             0.0};
   }
-  const double per_host_rate = spec.load * sim::gbps(100);
-  for (std::size_t h = 0; h < 33; ++h) {
-    workload::GeneratorConfig gen;
-    gen.burst_over_avg = spec.burst_load / spec.load;
-    gen.burst_period = spec.burst_period;
-    for (std::size_t c = 0; c < 3; ++c) {
-      workload::ClassLoad load;
-      load.priority = static_cast<rpc::Priority>(c);
-      load.byte_rate = spec.mix[c] * per_host_rate;
-      load.sizes = spec.sizes[c];
-      load.deadline_budget =
-          spec.deadline_budget.empty() ? 0.0 : spec.deadline_budget[c];
-      gen.classes.push_back(load);
-    }
-    experiment.add_generator(static_cast<net::HostId>(h), gen);
-  }
+  bench::attach_all_to_all(experiment, spec);
 }
 
-template <typename Experiment>
-Row collect(const char* name, Experiment& experiment, double utilization) {
+// Utilization: downlink busy fraction relative to the offered load.
+// Terminated/unsent traffic leaves links idle; queued-but-moving scavenger
+// traffic still counts as useful work.
+Row collect(const char* name, runner::Experiment& experiment,
+            double offered_load) {
   const auto& metrics = experiment.metrics();
   Row row{};
   row.name = name;
   row.met_h = 100 * metrics.slo_met_fraction_bytes(0);
   row.met_m = 100 * metrics.slo_met_fraction_bytes(1);
-  row.util = 100 * utilization;
+  row.util = 100 * std::min(1.0, experiment.mean_downlink_utilization() /
+                                     offered_load);
   for (net::QoSLevel q = 0; q < 3; ++q) {
     row.p999[q] = metrics.rnl_by_run_qos(q).p999() / sim::kUsec;
   }
@@ -109,41 +147,12 @@ Row collect(const char* name, Experiment& experiment, double utilization) {
   return row;
 }
 
-Row run_aequitas(std::uint64_t seed, const bench::TraceRequest& trace) {
-  runner::ExperimentConfig config;
-  config.num_hosts = 33;
-  config.num_qos = 3;
-  config.wfq_weights = {8.0, 4.0, 1.0};
-  config.slo = make_slo();
-  config.seed = seed;
-  runner::Experiment experiment(config);
-  // Only the Aequitas point supports tracing (the protocol baselines use
-  // their own harness), so it is always point 0.
-  trace.apply(experiment, 0);
-  attach_workload(experiment, false);
-  experiment.run(12 * sim::kMsec, 15 * sim::kMsec);
-  // Utilization: downlink busy fraction relative to the offered load
-  // (0.8). Terminated/unsent traffic leaves links idle; queued-but-moving
-  // scavenger traffic still counts as useful work.
-  return collect("Aequitas", experiment,
-                 std::min(1.0, experiment.mean_downlink_utilization() /
-                                   kOfferedLoad));
-}
-
-Row run_baseline(runner::BaselineProtocol protocol, std::uint64_t seed) {
-  runner::ProtocolExperimentConfig config;
-  config.protocol = protocol;
-  config.num_hosts = 33;
-  config.num_qos = 3;
-  config.slo = make_slo();
-  config.seed = seed;
-  // QJump provisioned for the expected per-level load (0.4/0.24 of line
-  // rate on h/m): caps hold packet latency down but bursts above the cap
-  // queue at the host.
-  config.qjump_level_rate_fraction = {0.45, 0.30, 0.0};
-  runner::ProtocolExperiment experiment(config);
-  const bool deadlines = protocol == runner::BaselineProtocol::kD3 ||
-                         protocol == runner::BaselineProtocol::kPdq;
+Row run_system(runner::BaselineProtocol baseline, std::uint64_t seed,
+               const bench::TraceRequest& trace, int point) {
+  runner::Experiment experiment(make_config(baseline, seed));
+  trace.apply(experiment, point);
+  const bool deadlines = baseline == runner::BaselineProtocol::kD3 ||
+                         baseline == runner::BaselineProtocol::kPdq;
 
   // For the deadline protocols the paper judges SLO attainment against the
   // absolute deadline, not the normalized target.
@@ -165,9 +174,7 @@ Row run_baseline(runner::BaselineProtocol protocol, std::uint64_t seed) {
   }
   attach_workload(experiment, deadlines);
   experiment.run(12 * sim::kMsec, 15 * sim::kMsec);
-  Row row = collect(runner::baseline_name(protocol), experiment,
-                    std::min(1.0, experiment.mean_downlink_utilization() /
-                                      kOfferedLoad));
+  Row row = collect(system_name(baseline), experiment, kOfferedLoad);
   if (deadlines) {
     for (int q = 0; q < 2; ++q) {
       const double met =
@@ -191,8 +198,10 @@ struct PolicyRow {
 };
 
 std::string summarize_gauges(const rpc::AdmissionController& controller) {
+  std::vector<rpc::Gauge> gauges;
+  controller.gauges(gauges);
   std::string out;
-  for (const rpc::Gauge& gauge : controller.gauges()) {
+  for (const rpc::Gauge& gauge : gauges) {
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), "%s%s=%.3g",
                   out.empty() ? "" : " ", gauge.name, gauge.value);
@@ -203,21 +212,15 @@ std::string summarize_gauges(const rpc::AdmissionController& controller) {
 
 PolicyRow run_policy(const std::string& kind, double load, std::uint64_t seed,
                      const bench::TraceRequest& trace, int point) {
-  runner::ExperimentConfig config;
-  config.num_hosts = 33;
-  config.num_qos = 3;
-  config.wfq_weights = {8.0, 4.0, 1.0};
+  runner::ExperimentConfig config =
+      make_config(runner::BaselineProtocol::kNone, seed);
   config.admission.kind = kind;
-  config.slo = make_slo();
-  config.seed = seed;
   runner::Experiment experiment(config);
   trace.apply(experiment, point);
   attach_workload(experiment, false, load);
   experiment.run(12 * sim::kMsec, 15 * sim::kMsec);
   PolicyRow result;
-  result.row = collect(kind.c_str(), experiment,
-                       std::min(1.0, experiment.mean_downlink_utilization() /
-                                         load));
+  result.row = collect(kind.c_str(), experiment, load);
   const auto& metrics = experiment.metrics();
   const auto issued = metrics.downgraded(0) + metrics.terminated(0) +
                       metrics.completed(0);
@@ -233,18 +236,8 @@ PolicyRow run_policy(const std::string& kind, double load, std::uint64_t seed,
 
 // Runs the shoot-out and renders its table; returns the process exit code.
 int run_shootout(bench::BenchArgs& args, const std::string& controller) {
-  std::vector<std::string> kinds;
-  if (controller == "all") {
-    kinds = policy::names();
-  } else {
-    std::string_view remaining = controller;
-    while (!remaining.empty()) {
-      const auto comma = remaining.find(',');
-      kinds.emplace_back(remaining.substr(0, comma));
-      if (comma == std::string_view::npos) break;
-      remaining.remove_prefix(comma + 1);
-    }
-  }
+  const std::vector<std::string> kinds =
+      controller == "all" ? policy::names() : split_list(controller);
   for (const std::string& kind : kinds) {
     if (policy::is_registered(kind)) continue;
     std::fprintf(stderr, "unknown --controller kind \"%s\"; registered:",
@@ -257,18 +250,10 @@ int run_shootout(bench::BenchArgs& args, const std::string& controller) {
   }
 
   std::vector<double> loads;
-  const std::string loads_flag = args.flags.get("loads");
-  if (loads_flag.empty()) {
-    loads.push_back(kOfferedLoad);
-  } else {
-    std::string_view remaining = loads_flag;
-    while (!remaining.empty()) {
-      const auto comma = remaining.find(',');
-      loads.push_back(std::stod(std::string(remaining.substr(0, comma))));
-      if (comma == std::string_view::npos) break;
-      remaining.remove_prefix(comma + 1);
-    }
+  for (const std::string& load : split_list(args.flags.get("loads"))) {
+    loads.push_back(std::stod(load));
   }
+  if (loads.empty()) loads.push_back(kOfferedLoad);
 
   bench::print_header("Admission-policy shoot-out",
                       "33-node, production sizes, input mix 50/30/20, "
@@ -312,45 +297,29 @@ int main(int argc, char** argv) {
   // registered policy on the identical stack, optionally swept across
   // `--loads=0.6,0.8,1.0`.
   const std::string controller = args.flags.get("controller");
-  if (!controller.empty()) return run_shootout(args, controller);
+  if (!controller.empty()) {
+    if (run_shootout(args, controller) != 0) return 1;
+    return bench::exit_code(args, argv[0]);
+  }
   bench::print_header("Figure 22",
                       "Related-work comparison, 33-node, production sizes, "
                       "input mix 50/30/20 (normalized SLO 3/6us per MTU; "
                       "D3/PDQ deadlines 250/300us)");
   // Optional filter: run only the named systems (case-sensitive,
   // comma-separated), e.g. `fig22_related_work --only=D3,PDQ`.
-  const std::string only = args.flags.get("only");
-  auto wanted = [&only](const char* name) {
-    if (only.empty()) return true;
-    std::string_view remaining = only;
-    while (!remaining.empty()) {
-      const auto comma = remaining.find(',');
-      const std::string_view token = remaining.substr(0, comma);
-      if (token == name) return true;
-      if (comma == std::string_view::npos) break;
-      remaining.remove_prefix(comma + 1);
-    }
-    return false;
-  };
+  const std::vector<std::string> only = split_list(args.flags.get("only"));
 
   runner::SweepRunner sweep(args.sweep);
-  if (wanted("Aequitas")) {
-    sweep.submit([trace = args.trace](const runner::PointContext& ctx) {
-      const Row row = run_aequitas(ctx.seed, trace);
-      return runner::PointResult::single(
-          {row.name, row.met_h, row.met_m, row.util,
-           stats::Cell(row.p999[0], 0), stats::Cell(row.p999[1], 0),
-           stats::Cell(row.p999[2], 0), row.terminated});
-    });
-  }
-  const runner::BaselineProtocol protocols[] = {
-      runner::BaselineProtocol::kPfabric, runner::BaselineProtocol::kQjump,
-      runner::BaselineProtocol::kD3, runner::BaselineProtocol::kPdq,
-      runner::BaselineProtocol::kHoma};
-  for (auto protocol : protocols) {
-    if (!wanted(runner::baseline_name(protocol))) continue;
-    sweep.submit([protocol](const runner::PointContext& ctx) {
-      const Row row = run_baseline(protocol, ctx.seed);
+  int point = 0;
+  for (const runner::BaselineProtocol baseline : kSystems) {
+    const char* name = system_name(baseline);
+    if (!only.empty() &&
+        std::find(only.begin(), only.end(), name) == only.end()) {
+      continue;
+    }
+    sweep.submit([baseline, trace = args.trace,
+                  p = point++](const runner::PointContext& ctx) {
+      const Row row = run_system(baseline, ctx.seed, trace, p);
       return runner::PointResult::single(
           {row.name, row.met_h, row.met_m, row.util,
            stats::Cell(row.p999[0], 0), stats::Cell(row.p999[1], 0),
@@ -366,8 +335,8 @@ int main(int argc, char** argv) {
                       {"m p999(us)", 12, 0},
                       {"l p999(us)", 12, 0},
                       {"killed%", 10, 1}});
-  for (const auto& point : sweep.run()) table.add_rows(point.rows);
+  for (const auto& result : sweep.run()) table.add_rows(result.rows);
   bench::emit(table, args);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -109,5 +109,5 @@ int main(int argc, char** argv) {
   std::printf("\n(RNL normalized per class to the target-mix calibration "
               "run, as in the paper's footnote 7)\n");
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -190,5 +190,5 @@ int main(int argc, char** argv) {
               "%d/50\n",
               mean / 50.0, changes.front(), improved);
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -69,5 +69,5 @@ int main(int argc, char** argv) {
   std::printf("\nsmaller beta: smoother p_admit (higher p1, lower stddev) "
               "at looser SLO-compliance\n");
   bench::print_footer();
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -162,7 +162,8 @@ int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(
       argc, argv,
       {"alpha", "beta", "swift-target-us", "warmup-ms", "run-ms", "period-us",
-       "aequitas", "mix-h", "mix-m", "sweep-points"});
+       "aequitas", "mix-h", "mix-m", "sweep-points", "shards",
+       "schedule-digest"});
   ProbeParams p;
   p.alpha = args.flags.get_double("alpha", p.alpha);
   p.beta = args.flags.get_double("beta", p.beta);
@@ -186,5 +187,5 @@ int main(int argc, char** argv) {
   } else {
     run_probe(p, sim::derive_seed(args.sweep.base_seed, 0), args.trace);
   }
-  return 0;
+  return bench::exit_code(args, argv[0]);
 }

@@ -17,8 +17,7 @@
 namespace aeq::audit {
 
 void register_queue_checks(Auditor& auditor, std::string component,
-                           const net::QueueDiscipline& queue,
-                           std::size_t num_qos) {
+                           const net::QueueDiscipline& queue) {
   auditor.add_check(component, "conservation-packets", [&queue] {
     const net::QueueStats& s = queue.stats();
     AEQ_CHECK_EQ_MSG(
@@ -42,25 +41,21 @@ void register_queue_checks(Auditor& auditor, std::string component,
     AEQ_CHECK_LE(s.dropped_packets, s.offered_packets);
     AEQ_CHECK_LE(s.dropped_bytes, s.offered_bytes);
   });
-  auditor.add_check(component, "class-sums", [&queue, num_qos] {
+  auditor.add_check(component, "class-sums", [&queue] {
     std::uint64_t class_backlog = 0;
     std::uint64_t class_drop_packets = 0;
     std::uint64_t class_drop_bytes = 0;
-    for (std::size_t q = 0; q < num_qos; ++q) {
+    for (std::size_t q = 0; q < net::kMaxQoSLevels; ++q) {
       const auto qos = static_cast<net::QoSLevel>(q);
       class_backlog += queue.class_backlog_bytes(qos);
       class_drop_packets += queue.class_dropped_packets(qos);
       class_drop_bytes += queue.class_dropped_bytes(qos);
     }
     // The QueueDiscipline base maintains the per-class counters for every
-    // discipline, so whenever any class reports backlog the per-class
-    // backlogs must partition the total exactly. (The guard keeps the check
-    // vacuous for an idle queue and for out-of-plane traffic parked above
-    // num_qos, which the sum below does not see.)
-    if (class_backlog != 0) {
-      AEQ_CHECK_EQ_MSG(class_backlog, queue.backlog_bytes(),
-                       "per-class backlogs do not partition queue backlog");
-    }
+    // discipline (levels past the last slot fold into it), so the per-class
+    // backlogs partition the total exactly.
+    AEQ_CHECK_EQ_MSG(class_backlog, queue.backlog_bytes(),
+                     "per-class backlogs do not partition queue backlog");
     // Class drops never exceed the totals (a shared-buffer decorator adds
     // pool rejections to its own total on top of the inner class drops).
     AEQ_CHECK_LE(class_drop_packets, queue.stats().dropped_packets);
@@ -110,8 +105,7 @@ void register_pool_checks(Auditor& auditor, std::string component,
 }
 
 void register_port_checks(Auditor& auditor, std::string component,
-                          const net::Port& port, const sim::Simulator& sim,
-                          std::size_t num_qos) {
+                          const net::Port& port, const sim::Simulator& sim) {
   auditor.add_check(component, "link-conservation", [&port] {
     AEQ_CHECK_EQ_MSG(port.queue().stats().dequeued_packets,
                      port.delivered_packets() + port.in_flight_packets(),
@@ -126,12 +120,12 @@ void register_port_checks(Auditor& auditor, std::string component,
     AEQ_CHECK_LE_MSG(port.busy_time(), now * (1.0 + 1e-9) + 1e-9,
                      "port was busy longer than simulated time");
   });
-  register_queue_checks(auditor, std::move(component), port.queue(), num_qos);
+  register_queue_checks(auditor, std::move(component), port.queue());
 }
 
 void register_switch_checks(Auditor& auditor, std::string component,
                             const net::Switch& fabric_switch,
-                            const sim::Simulator& sim, std::size_t num_qos) {
+                            const sim::Simulator& sim) {
   auditor.add_check(component, "routing-conservation", [&fabric_switch] {
     std::uint64_t offered = 0;
     for (std::size_t p = 0; p < fabric_switch.num_ports(); ++p) {
@@ -143,7 +137,7 @@ void register_switch_checks(Auditor& auditor, std::string component,
   for (std::size_t p = 0; p < fabric_switch.num_ports(); ++p) {
     register_port_checks(auditor,
                          component + "/port" + std::to_string(p),
-                         fabric_switch.port(p), sim, num_qos);
+                         fabric_switch.port(p), sim);
   }
 }
 
@@ -163,15 +157,20 @@ void register_admission_checks(Auditor& auditor, std::string component,
   auditor.add_check(component, "invariants", [&controller, &sim] {
     controller.audit_invariants(sim.now());
   });
-  auditor.add_check(std::move(component), "gauge-bounds", [&controller] {
-    for (const rpc::Gauge& gauge : controller.gauges()) {
-      // NaN fails both comparisons, so a poisoned gauge aborts here too.
-      AEQ_CHECK_GE_MSG(gauge.value, gauge.lo,
-                       "admission gauge below its documented lower bound");
-      AEQ_CHECK_LE_MSG(gauge.value, gauge.hi,
-                       "admission gauge above its documented upper bound");
-    }
-  });
+  // The closure owns the gauge buffer, so every sweep after the first
+  // reuses its storage instead of allocating.
+  auditor.add_check(
+      std::move(component), "gauge-bounds",
+      [&controller, gauges = std::vector<rpc::Gauge>()]() mutable {
+        controller.gauges(gauges);
+        for (const rpc::Gauge& gauge : gauges) {
+          // NaN fails both comparisons, so a poisoned gauge aborts here too.
+          AEQ_CHECK_GE_MSG(gauge.value, gauge.lo,
+                           "admission gauge below its documented lower bound");
+          AEQ_CHECK_LE_MSG(gauge.value, gauge.hi,
+                           "admission gauge above its documented upper bound");
+        }
+      });
 }
 
 void register_quota_checks(Auditor& auditor, std::string component,

@@ -12,9 +12,10 @@
 //                                        bound (paper §4.1, Appendix B).
 //   queue/counter-bounds                 enqueued <= offered, dequeued <=
 //                                        enqueued, dropped <= offered.
-//   queue/class-sums                     per-QoS backlogs and drops sum to
-//                                        the queue totals for classful
-//                                        disciplines (per-class byte counts
+//   queue/class-sums                     per-QoS backlogs sum to the queue
+//                                        backlog and per-QoS drops stay
+//                                        within the drop totals, for every
+//                                        discipline (per-class byte counts
 //                                        feed the QoS-mix figures).
 //   wfq/tag-order, wfq/virtual-time-monotone
 //                                        start/finish-tag ordering and a
@@ -94,10 +95,10 @@ namespace aeq::audit {
 
 // Conservation and counter-sanity checks for one queue discipline. When the
 // discipline is (or decorates) a WfqQueue, the WFQ tag checks are attached
-// too. `num_qos` bounds the per-class sums.
+// too. The per-class sums cover every class slot the queue keeps, so they
+// hold whatever class count the discipline serves (Homa's SPQ runs 8).
 void register_queue_checks(Auditor& auditor, std::string component,
-                           const net::QueueDiscipline& queue,
-                           std::size_t num_qos);
+                           const net::QueueDiscipline& queue);
 
 // WFQ virtual-time/tag invariants (normally attached via
 // register_queue_checks; exposed for unit tests).
@@ -112,13 +113,12 @@ void register_pool_checks(Auditor& auditor, std::string component,
 // Link-level conservation and busy-time sanity for one port, plus the queue
 // checks for its discipline.
 void register_port_checks(Auditor& auditor, std::string component,
-                          const net::Port& port, const sim::Simulator& sim,
-                          std::size_t num_qos);
+                          const net::Port& port, const sim::Simulator& sim);
 
 // Routing conservation across the switch plus port checks for every egress.
 void register_switch_checks(Auditor& auditor, std::string component,
                             const net::Switch& fabric_switch,
-                            const sim::Simulator& sim, std::size_t num_qos);
+                            const sim::Simulator& sim);
 
 // Clock monotonicity of the simulation executive.
 void register_simulator_checks(Auditor& auditor, const sim::Simulator& sim);

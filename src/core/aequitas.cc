@@ -96,7 +96,7 @@ double AequitasController::p_admit(net::HostId dst, net::QoSLevel qos) const {
   return state == nullptr ? 1.0 : state->p_admit;
 }
 
-std::vector<rpc::Gauge> AequitasController::gauges() const {
+void AequitasController::gauges(std::vector<rpc::Gauge>& out) const {
   double min = 1.0;
   double sum = 0.0;
   std::size_t n = 0;
@@ -110,11 +110,11 @@ std::vector<rpc::Gauge> AequitasController::gauges() const {
     ++n;
   });
   const double mean = n == 0 ? 1.0 : sum / static_cast<double>(n);
-  return {
+  out.assign({
       {"p_admit_min", min, config_.p_admit_floor, 1.0},
       {"p_admit_mean", mean, config_.p_admit_floor, 1.0},
       {"channels", static_cast<double>(n), 0.0, rpc::kGaugeUnbounded},
-  };
+  });
 }
 
 }  // namespace aeq::core

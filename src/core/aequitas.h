@@ -58,7 +58,7 @@ class AequitasController final : public rpc::AdmissionController {
   // Policy-agnostic introspection (rpc::AdmissionController): the channel
   // count plus min/mean p_admit across channels, all bounded by the AIMD
   // clamp [p_admit_floor, 1].
-  std::vector<rpc::Gauge> gauges() const override;
+  void gauges(std::vector<rpc::Gauge>& out) const override;
 
   const AequitasConfig& config() const { return config_; }
 

@@ -179,11 +179,10 @@ void QuotaController::on_completion(sim::Time now, net::HostId src,
                            size_mtus);
 }
 
-std::vector<rpc::Gauge> QuotaController::gauges() const {
-  std::vector<rpc::Gauge> gauges = aequitas_->gauges();
-  gauges.push_back({"over_quota", static_cast<double>(over_quota_), 0.0,
-                    rpc::kGaugeUnbounded});
-  return gauges;
+void QuotaController::gauges(std::vector<rpc::Gauge>& out) const {
+  aequitas_->gauges(out);
+  out.push_back({"over_quota", static_cast<double>(over_quota_), 0.0,
+                 rpc::kGaugeUnbounded});
 }
 
 }  // namespace aeq::core

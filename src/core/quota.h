@@ -101,7 +101,7 @@ class QuotaController final : public rpc::AdmissionController {
                      sim::Time rnl, std::uint64_t size_mtus) override;
 
   // Inner AIMD gauges plus the quota plane's over-quota rejection count.
-  std::vector<rpc::Gauge> gauges() const override;
+  void gauges(std::vector<rpc::Gauge>& out) const override;
   void audit_invariants(sim::Time now) const override {
     aequitas_->audit_invariants(now);
   }

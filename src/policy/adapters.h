@@ -49,8 +49,8 @@ class RejectionAdapter final : public rpc::AdmissionController {
     inner_->on_window(window);
   }
 
-  std::vector<rpc::Gauge> gauges() const override {
-    return inner_->gauges();
+  void gauges(std::vector<rpc::Gauge>& out) const override {
+    inner_->gauges(out);
   }
 
   void audit_invariants(sim::Time now) const override {

@@ -126,18 +126,18 @@ void BanditController::on_window(const obs::WindowStats& window) {
   epsilon_ = std::max(epsilon_ * config_.epsilon_decay, config_.epsilon_min);
 }
 
-std::vector<rpc::Gauge> BanditController::gauges() const {
+void BanditController::gauges(std::vector<rpc::Gauge>& out) const {
   // Rewards live in [-reject_penalty, 1]; Q-values are convex combinations
   // of rewards and q_init, so they stay inside the hull of both.
   const double q_lo = std::min(-config_.reject_penalty, config_.q_init);
   const double q_hi = std::max(1.0, config_.q_init);
-  return {
+  out.assign({
       {"p_admit_action", config_.actions[action_], 0.0, 1.0},
       {"epsilon", epsilon_, config_.epsilon_min, config_.epsilon0},
       {"state", static_cast<double>(state_), 0.0,
        static_cast<double>(kStates - 1)},
       {"q_current", q(state_, action_), q_lo, q_hi},
-  };
+  });
 }
 
 void BanditController::audit_invariants(sim::Time /*now*/) const {

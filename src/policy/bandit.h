@@ -35,7 +35,7 @@ class BanditController final : public WindowedController {
 
   void on_window(const obs::WindowStats& window) override;
 
-  std::vector<rpc::Gauge> gauges() const override;
+  void gauges(std::vector<rpc::Gauge>& out) const override;
   void audit_invariants(sim::Time now) const override;
 
   double current_p_admit() const { return config_.actions[action_]; }

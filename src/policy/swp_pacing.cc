@@ -123,14 +123,14 @@ void SwpPacingController::on_window(const obs::WindowStats& /*window*/) {
   }
 }
 
-std::vector<rpc::Gauge> SwpPacingController::gauges() const {
-  return {
+void SwpPacingController::gauges(std::vector<rpc::Gauge>& out) const {
+  out.assign({
       {"rate_fraction", rate_fraction_, config_.min_rate_fraction,
        config_.max_rate_fraction},
       {"bucket_tokens", tokens_, 0.0, rpc::kGaugeUnbounded},
       {"violating_windows", static_cast<double>(violating_windows_), 0.0,
        rpc::kGaugeUnbounded},
-  };
+  });
 }
 
 void SwpPacingController::audit_invariants(sim::Time now) const {

@@ -30,7 +30,7 @@ class SwpPacingController final : public WindowedController {
 
   void on_window(const obs::WindowStats& window) override;
 
-  std::vector<rpc::Gauge> gauges() const override;
+  void gauges(std::vector<rpc::Gauge>& out) const override;
   void audit_invariants(sim::Time now) const override;
 
   double rate_fraction() const { return rate_fraction_; }

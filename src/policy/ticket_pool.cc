@@ -105,8 +105,8 @@ void TicketPoolController::on_window(const obs::WindowStats& /*window*/) {
   }
 }
 
-std::vector<rpc::Gauge> TicketPoolController::gauges() const {
-  return {
+void TicketPoolController::gauges(std::vector<rpc::Gauge>& out) const {
+  out.assign({
       {"tickets_limit", limit_, config_.min_concurrency,
        config_.max_concurrency},
       {"tickets_in_flight", static_cast<double>(in_flight_), 0.0,
@@ -114,7 +114,7 @@ std::vector<rpc::Gauge> TicketPoolController::gauges() const {
       {"goodput_ema", goodput_ema_, 0.0, rpc::kGaugeUnbounded},
       {"probe_state", static_cast<double>(static_cast<int>(probe_)), 0.0,
        2.0},
-  };
+  });
 }
 
 void TicketPoolController::audit_invariants(sim::Time /*now*/) const {

@@ -30,7 +30,7 @@ class TicketPoolController final : public WindowedController {
 
   void on_window(const obs::WindowStats& window) override;
 
-  std::vector<rpc::Gauge> gauges() const override;
+  void gauges(std::vector<rpc::Gauge>& out) const override;
   void audit_invariants(sim::Time now) const override;
 
   double concurrency_limit() const { return limit_; }

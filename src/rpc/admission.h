@@ -93,10 +93,12 @@ class AdmissionController {
     (void)window;
   }
 
-  // Read-only introspection: named scalars with documented bounds. The
-  // audit catalogue's admission/gauge-bounds check asserts each value sits
-  // inside [lo, hi]; benches print them as per-policy columns.
-  virtual std::vector<Gauge> gauges() const { return {}; }
+  // Read-only introspection: replaces `out` with named scalars carrying
+  // their documented bounds. The audit catalogue's admission/gauge-bounds
+  // check asserts each value sits inside [lo, hi]; benches print them as
+  // per-policy columns. Callers keep `out` across calls, so once its
+  // capacity suffices a sweep allocates nothing.
+  virtual void gauges(std::vector<Gauge>& out) const { out.clear(); }
 
   // Read-only invariant sweep (audit catalogue, admission/invariants).
   // Aborts via AEQ_CHECK_* on violation; the default has nothing to check.

@@ -11,10 +11,26 @@
 #include "obs/csv_sink.h"
 #include "obs/shard_merge.h"
 #include "policy/registry.h"
+#include "protocols/deadline_transport.h"
+#include "protocols/pfabric.h"
+#include "protocols/qjump.h"
 #include "sim/assert.h"
+#include "sim/rng.h"
 #include "topo/sharding.h"
 
 namespace aeq::runner {
+
+const char* baseline_name(BaselineProtocol protocol) {
+  switch (protocol) {
+    case BaselineProtocol::kNone: return "none";
+    case BaselineProtocol::kPfabric: return "pFabric";
+    case BaselineProtocol::kQjump: return "QJump";
+    case BaselineProtocol::kHoma: return "Homa";
+    case BaselineProtocol::kD3: return "D3";
+    case BaselineProtocol::kPdq: return "PDQ";
+  }
+  return "?";
+}
 
 Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   AEQ_CHECK_GE(config_.num_qos, 2u);
@@ -35,8 +51,29 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
     // DCTCP needs marking; default to ~20 MTUs as in its paper's guidance.
     queue.ecn_threshold_bytes = 20ull * config_.transport.mtu_bytes;
   }
-  AEQ_ASSERT(config_.scheduler == net::SchedulerType::kPfabric ||
-             config_.wfq_weights.size() == config_.num_qos);
+  // A baseline brings the discipline its protocol assumes (SPQ's weights
+  // only count its classes).
+  switch (config_.baseline) {
+    case BaselineProtocol::kNone:
+      AEQ_ASSERT(config_.scheduler == net::SchedulerType::kPfabric ||
+                 config_.wfq_weights.size() == config_.num_qos);
+      break;
+    case BaselineProtocol::kPfabric:
+      queue.type = net::SchedulerType::kPfabric;
+      break;
+    case BaselineProtocol::kQjump:
+      queue.type = net::SchedulerType::kSpq;
+      queue.weights.assign(config_.num_qos, 1.0);
+      break;
+    case BaselineProtocol::kHoma:
+      queue.type = net::SchedulerType::kSpq;
+      queue.weights.assign(config_.homa.num_levels, 1.0);
+      break;
+    case BaselineProtocol::kD3:
+    case BaselineProtocol::kPdq:
+      queue.type = net::SchedulerType::kFifo;
+      break;
+  }
 
   topo::StarConfig star;
   star.num_hosts = config_.num_hosts;
@@ -101,21 +138,19 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   stack_config.num_qos = config_.num_qos;
   stack_config.mtu_bytes = config_.transport.mtu_bytes;
 
+  if (config_.baseline == BaselineProtocol::kD3 ||
+      config_.baseline == BaselineProtocol::kPdq) {
+    deadline_fabric_ = std::make_unique<protocols::DeadlineFabric>(
+        simulator(),
+        config_.baseline == BaselineProtocol::kD3
+            ? protocols::DeadlineMode::kD3
+            : protocols::DeadlineMode::kPdq,
+        config_.link_rate);
+  }
+
   for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
     const auto id = static_cast<net::HostId>(i);
-    auto cc_factory = [this]() -> std::unique_ptr<transport::CongestionControl> {
-      if (config_.cc_kind == ExperimentConfig::CcKind::kFixedWindow) {
-        return std::make_unique<transport::FixedWindowCC>(
-            config_.fixed_window_packets);
-      }
-      if (config_.cc_kind == ExperimentConfig::CcKind::kDctcp) {
-        return std::make_unique<transport::DctcpCC>(config_.dctcp);
-      }
-      return std::make_unique<transport::SwiftCC>(config_.swift);
-    };
-    host_stacks_.push_back(std::make_unique<transport::HostStack>(
-        host_simulator(id), network_.host(id), network_.num_hosts(),
-        config_.transport, cc_factory));
+    transports_.push_back(make_transport(id));
 
     if (config_.admission.factory) {
       controllers_.push_back(
@@ -133,12 +168,66 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
     }
 
     stacks_.push_back(std::make_unique<rpc::RpcStack>(
-        host_simulator(id), id, *host_stacks_.back(), *controllers_.back(),
+        host_simulator(id), id, *transports_.back(), *controllers_.back(),
         *metrics_[shard_of(id)], stack_config));
   }
 
   if (config_.audit) register_audit_checks();
   if (config_.telemetry.any()) wire_telemetry();
+}
+
+std::unique_ptr<transport::MessageTransport> Experiment::make_transport(
+    net::HostId id) {
+  sim::Simulator& simulator = host_simulator(id);
+  net::Host& host = network_.host(id);
+  protocols::BaseTransportConfig base;
+  base.mtu_bytes = config_.transport.mtu_bytes;
+  switch (config_.baseline) {
+    case BaselineProtocol::kNone: {
+      auto cc_factory =
+          [this]() -> std::unique_ptr<transport::CongestionControl> {
+        if (config_.cc_kind == ExperimentConfig::CcKind::kFixedWindow) {
+          return std::make_unique<transport::FixedWindowCC>(
+              config_.fixed_window_packets);
+        }
+        if (config_.cc_kind == ExperimentConfig::CcKind::kDctcp) {
+          return std::make_unique<transport::DctcpCC>(config_.dctcp);
+        }
+        return std::make_unique<transport::SwiftCC>(config_.swift);
+      };
+      return std::make_unique<transport::HostStack>(
+          simulator, host, network_.num_hosts(), config_.transport,
+          cc_factory);
+    }
+    case BaselineProtocol::kPfabric: {
+      protocols::PfabricConfig pf;
+      pf.base = base;
+      pf.base.rto = 100 * sim::kUsec;  // aggressive, per pFabric's design
+      return std::make_unique<protocols::PfabricTransport>(simulator, host,
+                                                           pf);
+    }
+    case BaselineProtocol::kQjump: {
+      protocols::QjumpConfig qj;
+      qj.base = base;
+      for (double fraction : config_.qjump_level_rate_fraction) {
+        qj.level_rate.push_back(fraction <= 0.0 ? 0.0
+                                                : fraction * config_.link_rate);
+      }
+      return std::make_unique<protocols::QjumpTransport>(simulator, host, qj);
+    }
+    case BaselineProtocol::kHoma: {
+      protocols::HomaConfig homa = config_.homa;
+      homa.base = base;
+      return std::make_unique<protocols::HomaTransport>(simulator, host, homa);
+    }
+    case BaselineProtocol::kD3:
+    case BaselineProtocol::kPdq:
+      base.rto = 1 * sim::kMsec;  // rate-paced; recovery is rare
+      return std::make_unique<protocols::DeadlineTransport>(
+          simulator, host, *deadline_fabric_, base);
+  }
+  AEQ_ASSERT_MSG(false, "unknown baseline protocol");
+  return nullptr;
 }
 
 // The K>1 executive's envelope, in one place: shards partition a star, and
@@ -149,6 +238,9 @@ void Experiment::check_shard_support() const {
   if (config_.shards == 1) return;
   AEQ_ASSERT_MSG(!config_.use_leaf_spine,
                  "sharded execution supports star topologies only");
+  AEQ_ASSERT_MSG(config_.baseline == BaselineProtocol::kNone,
+                 "baseline stacks run on one shard only (D3/PDQ's "
+                 "DeadlineFabric is one global object)");
   AEQ_ASSERT_MSG(!config_.telemetry.windowed() &&
                      config_.telemetry.flight_recorder.empty(),
                  "windowed telemetry (timeseries/watchdog/flight recorder) "
@@ -291,33 +383,31 @@ void Experiment::finish_profiling() {
   prof_run_.reset();
 }
 
-std::vector<obs::WindowStats::GaugeStat> Experiment::sample_admission_gauges()
-    const {
-  std::vector<obs::WindowStats::GaugeStat> out;
-  if (controllers_.empty()) return out;
+std::vector<obs::WindowStats::GaugeStat>
+Experiment::sample_admission_gauges() {
   // The first controller defines the gauge set — every host runs the same
   // policy, so names and order must agree across the fleet (asserted
   // below). Each output row is one gauge's fleet mean and fleet min.
-  const std::vector<rpc::Gauge> first = controllers_[0]->gauges();
-  if (first.empty()) return out;
-  std::vector<double> sum(first.size(), 0.0);
-  std::vector<double> min(first.size(), 0.0);
+  std::vector<obs::WindowStats::GaugeStat> out;
   for (std::size_t h = 0; h < controllers_.size(); ++h) {
-    const std::vector<rpc::Gauge> gauges =
-        h == 0 ? first : controllers_[h]->gauges();
-    AEQ_ASSERT_MSG(gauges.size() == first.size(),
+    controllers_[h]->gauges(gauge_scratch_);
+    if (h == 0) {
+      for (const rpc::Gauge& gauge : gauge_scratch_) {
+        out.push_back({gauge.name, gauge.value, gauge.value});
+      }
+      continue;
+    }
+    AEQ_ASSERT_MSG(gauge_scratch_.size() == out.size(),
                    "admission gauge sets differ across hosts");
-    for (std::size_t g = 0; g < gauges.size(); ++g) {
-      AEQ_ASSERT_MSG(std::string(gauges[g].name) == first[g].name,
+    for (std::size_t g = 0; g < out.size(); ++g) {
+      AEQ_ASSERT_MSG(out[g].name == gauge_scratch_[g].name,
                      "admission gauge names differ across hosts");
-      sum[g] += gauges[g].value;
-      min[g] = h == 0 ? gauges[g].value : std::min(min[g], gauges[g].value);
+      out[g].mean += gauge_scratch_[g].value;
+      out[g].min = std::min(out[g].min, gauge_scratch_[g].value);
     }
   }
-  out.reserve(first.size());
-  for (std::size_t g = 0; g < first.size(); ++g) {
-    out.push_back({first[g].name,
-                   sum[g] / static_cast<double>(controllers_.size()), min[g]});
+  for (obs::WindowStats::GaugeStat& stat : out) {
+    stat.mean /= static_cast<double>(controllers_.size());
   }
   return out;
 }
@@ -471,7 +561,9 @@ void Experiment::wire_telemetry() {
     const std::uint32_t pid =
         host_recorder.register_port("host" + std::to_string(i) + "-nic");
     network_.host(id).egress().set_observer(&host_recorder, pid);
-    host_stacks_[i]->set_observer(&host_recorder);
+    if (config_.baseline == BaselineProtocol::kNone) {
+      host_stack(id).set_observer(&host_recorder);
+    }
     stacks_[i]->set_observer(&host_recorder);
   }
   for (std::size_t s = 0; s < network_.num_switches(); ++s) {
@@ -502,9 +594,11 @@ void Experiment::register_audit_checks() {
     const std::string host = "host" + std::to_string(i);
     audit::register_port_checks(auditor, host + "-nic",
                                 network_.host(id).egress(),
-                                host_simulator(id), config_.num_qos);
-    audit::register_transport_checks(auditor, host + "-transport",
-                                     *host_stacks_[i]);
+                                host_simulator(id));
+    if (config_.baseline == BaselineProtocol::kNone) {
+      audit::register_transport_checks(auditor, host + "-transport",
+                                       host_stack(id));
+    }
     audit::register_admission_checks(auditor, host + "-admission",
                                      *controllers_[i], host_simulator(id));
   }
@@ -513,7 +607,7 @@ void Experiment::register_audit_checks() {
     audit::register_switch_checks(*auditors_[k],
                                   network_.fabric_switch(s).name(),
                                   network_.fabric_switch(s),
-                                  executive_->shard(k), config_.num_qos);
+                                  executive_->shard(k));
   }
   std::size_t pool_index = 0;
   for (const topo::Network::PoolGroup& group : network_.pool_groups()) {
@@ -546,9 +640,14 @@ void Experiment::schedule_telemetry_tick(sim::Time at, sim::Time end) {
 workload::TrafficGenerator& Experiment::add_generator(
     net::HostId id, const workload::GeneratorConfig& generator_config,
     workload::DestinationPicker picker) {
-  return generators_.add(host_simulator(id), stack(id), network_.num_hosts(),
-                         id, config_.seed, generator_config,
-                         std::move(picker));
+  if (!picker) {
+    picker = workload::uniform_destinations(network_.num_hosts(), id);
+  }
+  sim::Rng rng(config_.seed * 7919 + static_cast<std::uint64_t>(id) + 1);
+  generators_.push_back(std::make_unique<workload::TrafficGenerator>(
+      host_simulator(id), stack(id), std::move(picker), generator_config,
+      rng));
+  return *generators_.back();
 }
 
 void Experiment::sample_every(sim::Time interval,
@@ -581,7 +680,7 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
   run_end_ = warmup + duration;
   if (!config_.prof.empty()) start_profiling();
   const sim::Time start = now();
-  generators_.run(start, run_end_);
+  for (auto& generator : generators_) generator->run(start, run_end_);
   for (std::size_t s = 0; s < samplers_.size(); ++s) {
     schedule_sampler(s, start + samplers_[s].interval);
   }

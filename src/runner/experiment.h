@@ -1,6 +1,7 @@
 // Experiment harness: wires a topology, per-host transport stacks, RPC
 // stacks, admission controllers, the shared metrics sink, and traffic
-// generators into one runnable object. Every bench/example builds on this.
+// generators into one runnable object. Every bench/example builds on this,
+// including Figure 22's related-work baselines (ExperimentConfig::baseline).
 #pragma once
 
 #include <fstream>
@@ -20,9 +21,11 @@
 #include "obs/timeseries_sink.h"
 #include "obs/watchdog.h"
 #include "policy/spec.h"
+#include "protocols/deadline_fabric.h"
+#include "protocols/homa.h"
 #include "rpc/metrics.h"
 #include "rpc/rpc_stack.h"
-#include "runner/generators.h"
+#include "sim/assert.h"
 #include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "topo/builders.h"
@@ -33,6 +36,12 @@
 #include "workload/size_dist.h"
 
 namespace aeq::runner {
+
+// A related-work transport stack that replaces the paper's (Figure 22).
+// kNone keeps the paper's stack: WFQ ports and transport::HostStack.
+enum class BaselineProtocol { kNone, kPfabric, kQjump, kHoma, kD3, kPdq };
+
+const char* baseline_name(BaselineProtocol protocol);
 
 // Everything the telemetry pipeline can attach to one experiment. All
 // outputs are independent; any non-empty path (or `watchdog`) creates the
@@ -123,6 +132,18 @@ struct ExperimentConfig {
   std::uint64_t ecn_threshold_bytes = 0;
   double fixed_window_packets = 64.0;  // CcKind::kFixedWindow's window
 
+  // Baseline stack (Figure 22): any value but kNone gives every host that
+  // protocol's transport instead of transport::HostStack, and every port
+  // the discipline the protocol assumes: pFabric's priority queue (sized by
+  // buffer_bytes), SPQ over num_qos classes (QJump) or homa.num_levels
+  // classes (Homa), FIFO (D3/PDQ). scheduler, wfq_weights and the CC
+  // settings then go unused. One shard only (check_shard_support).
+  BaselineProtocol baseline = BaselineProtocol::kNone;
+  // QJump's per-level host rate limit as a fraction of link_rate (0 =
+  // unthrottled), and Homa's knobs (its `base` is filled in from transport).
+  std::vector<double> qjump_level_rate_fraction = {0.05, 0.20, 0.0};
+  protocols::HomaConfig homa;
+
   // Admission control: which policy every host runs, resolved through the
   // policy registry (src/policy/). The default spec is Aequitas with the
   // paper's AIMD knobs; set admission.kind to sweep competing policies
@@ -198,8 +219,12 @@ class Experiment {
   rpc::RpcStack& stack(net::HostId id) {
     return *stacks_.at(static_cast<std::size_t>(id));
   }
+  // Host `id`'s transport; the paper's stack only (no baseline set).
   transport::HostStack& host_stack(net::HostId id) {
-    return *host_stacks_.at(static_cast<std::size_t>(id));
+    AEQ_ASSERT_MSG(config_.baseline == BaselineProtocol::kNone,
+                   "a baseline stack has no transport::HostStack");
+    return static_cast<transport::HostStack&>(
+        *transports_.at(static_cast<std::size_t>(id)));
   }
   // Host `id`'s admission controller, whatever policy it runs. The base
   // interface (gauges(), audit_invariants(), on_window()) is the
@@ -252,11 +277,13 @@ class Experiment {
   // Registers and owns a size distribution for the experiment's lifetime.
   const workload::SizeDistribution* own(
       std::unique_ptr<workload::SizeDistribution> dist) {
-    return generators_.own(std::move(dist));
+    dists_.push_back(std::move(dist));
+    return dists_.back().get();
   }
 
   // Attaches a generator to host `id`; destinations default to uniform
-  // all-to-all.
+  // all-to-all. Host `id` draws from seed * 7919 + id + 1 at any shard
+  // count, which fixes every figure's arrival schedule.
   workload::TrafficGenerator& add_generator(
       net::HostId id, const workload::GeneratorConfig& generator_config,
       workload::DestinationPicker picker = nullptr);
@@ -278,8 +305,8 @@ class Experiment {
 
  private:
   // Aborts on any configuration the K>1 executive does not support: a
-  // non-star topology, windowed telemetry or a flight recorder,
-  // sample_every, or a second run(). A no-op at K=1.
+  // non-star topology, a baseline stack, windowed telemetry or a flight
+  // recorder, sample_every, or a second run(). A no-op at K=1.
   void check_shard_support() const;
   void schedule_sampler(std::size_t index, sim::Time at);
   void register_audit_checks();
@@ -297,7 +324,8 @@ class Experiment {
   void wire_telemetry();
   void start_profiling();
   void finish_profiling();
-  std::vector<obs::WindowStats::GaugeStat> sample_admission_gauges() const;
+  std::unique_ptr<transport::MessageTransport> make_transport(net::HostId id);
+  std::vector<obs::WindowStats::GaugeStat> sample_admission_gauges();
   void fill_watchdog_defaults(obs::WatchdogConfig& config) const;
   void on_anomaly(const obs::Anomaly& anomaly);
   // Last-gasp hook (sim/assert.h): dumps the flight recorder and recent
@@ -322,10 +350,14 @@ class Experiment {
   std::ofstream watchdog_log_file_;
   std::ostream* watchdog_log_ = nullptr;
   bool flight_dumped_ = false;
-  std::vector<std::unique_ptr<transport::HostStack>> host_stacks_;
+  // D3/PDQ's emulated router allocation, shared by every host.
+  std::unique_ptr<protocols::DeadlineFabric> deadline_fabric_;
+  std::vector<std::unique_ptr<transport::MessageTransport>> transports_;
   std::vector<std::unique_ptr<rpc::AdmissionController>> controllers_;
+  std::vector<rpc::Gauge> gauge_scratch_;  // sample_admission_gauges' buffer
   std::vector<std::unique_ptr<rpc::RpcStack>> stacks_;
-  Generators generators_;
+  std::vector<std::unique_ptr<workload::SizeDistribution>> dists_;
+  std::vector<std::unique_ptr<workload::TrafficGenerator>> generators_;
   struct Sampler {
     sim::Time interval;
     std::function<void(sim::Time)> fn;

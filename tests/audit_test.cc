@@ -174,7 +174,7 @@ class LeakyQueue final : public net::QueueDiscipline {
 TEST(AuditorDeathTest, LeakyQueueTripsConservation) {
   LeakyQueue queue;
   audit::Auditor auditor;
-  audit::register_queue_checks(auditor, "leaky", queue, 2);
+  audit::register_queue_checks(auditor, "leaky", queue);
   for (int i = 0; i < 6; ++i) queue.enqueue(make_packet(1000));
   EXPECT_DEATH(auditor.run_all(),
                "leaky/conservation-packets.*queue lost or invented packets");
@@ -192,9 +192,9 @@ TEST(Checks, WellBehavedQueuesPassConservation) {
   net::PfabricQueue pfabric(16 * 1024);
 
   audit::Auditor auditor;
-  audit::register_queue_checks(auditor, "red", red, 2);
-  audit::register_queue_checks(auditor, "wfq", wfq, 2);
-  audit::register_queue_checks(auditor, "pfabric", pfabric, 2);
+  audit::register_queue_checks(auditor, "red", red);
+  audit::register_queue_checks(auditor, "wfq", wfq);
+  audit::register_queue_checks(auditor, "pfabric", pfabric);
   // WFQ tag checks were attached automatically by the dynamic type probe.
   EXPECT_GT(auditor.num_checks(), 9u);
 
@@ -226,7 +226,7 @@ TEST(Checks, PooledPfabricKeepsPoolConservation) {
       std::make_unique<net::PfabricQueue>(8 * 1024), pool);
   audit::Auditor auditor;
   audit::register_pool_checks(auditor, "pool", pool, {pooled.get()});
-  audit::register_queue_checks(auditor, "pooled-pfabric", *pooled, 2);
+  audit::register_queue_checks(auditor, "pooled-pfabric", *pooled);
   for (std::uint64_t i = 0; i < 100; ++i) {
     net::Packet p = make_packet(1500, 0, i);
     p.cold.msg_bytes = (i % 9 + 1) * 1500;
@@ -257,8 +257,16 @@ TEST(Checks, CongestionControlInvariantsPass) {
 
 // --- Audited end-to-end runs ----------------------------------------------
 
-runner::ExperimentConfig audited_config(net::SchedulerType scheduler) {
+// `baseline` swaps in one of Figure 22's stacks (which bring their own
+// discipline and admit everything) in place of `scheduler`.
+runner::ExperimentConfig audited_config(
+    net::SchedulerType scheduler,
+    runner::BaselineProtocol baseline = runner::BaselineProtocol::kNone) {
   runner::ExperimentConfig config;
+  config.baseline = baseline;
+  if (baseline != runner::BaselineProtocol::kNone) {
+    config.admission.kind = policy::kAlwaysAdmit;
+  }
   config.num_hosts = 3;
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
@@ -281,14 +289,25 @@ void run_audited(runner::Experiment& experiment) {
   experiment.run(0.0, 3 * sim::kMsec);
 }
 
+// Every discipline, and every baseline stack (each with its own discipline
+// and class count: Homa's SPQ runs 8 classes).
 TEST(AuditedRuns, EveryDisciplineOnBothBackendsRunsClean) {
-  const net::SchedulerType disciplines[] = {
-      net::SchedulerType::kFifo, net::SchedulerType::kWfq,
-      net::SchedulerType::kDwrr, net::SchedulerType::kSpq,
-      net::SchedulerType::kPfabric};
-  for (const auto scheduler : disciplines) {
-    SCOPED_TRACE(static_cast<int>(scheduler));
-    runner::Experiment experiment(audited_config(scheduler));
+  std::vector<runner::ExperimentConfig> inputs;
+  for (const auto scheduler :
+       {net::SchedulerType::kFifo, net::SchedulerType::kWfq,
+        net::SchedulerType::kDwrr, net::SchedulerType::kSpq,
+        net::SchedulerType::kPfabric}) {
+    inputs.push_back(audited_config(scheduler));
+  }
+  for (const auto baseline :
+       {runner::BaselineProtocol::kPfabric, runner::BaselineProtocol::kQjump,
+        runner::BaselineProtocol::kHoma, runner::BaselineProtocol::kD3,
+        runner::BaselineProtocol::kPdq}) {
+    inputs.push_back(audited_config(net::SchedulerType::kWfq, baseline));
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE(i);
+    runner::Experiment experiment(inputs[i]);
     ASSERT_NE(experiment.auditor(), nullptr);
     run_audited(experiment);
     // Reaching here means zero violations (a violation aborts). The

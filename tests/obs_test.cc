@@ -326,8 +326,16 @@ TEST(CsvSinkTest, GoldenLifecycleRows) {
 
 // --- experiment-level wiring ----------------------------------------------
 
-runner::ExperimentConfig traced_config(net::SchedulerType scheduler) {
+// `baseline` swaps in one of Figure 22's stacks (which bring their own
+// discipline and admit everything) in place of `scheduler`.
+runner::ExperimentConfig traced_config(
+    net::SchedulerType scheduler,
+    runner::BaselineProtocol baseline = runner::BaselineProtocol::kNone) {
   runner::ExperimentConfig config;
+  config.baseline = baseline;
+  if (baseline != runner::BaselineProtocol::kNone) {
+    config.admission.kind = policy::kAlwaysAdmit;
+  }
   config.num_hosts = 3;
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
@@ -354,8 +362,8 @@ struct Outcome {
   std::vector<double> share;
 };
 
-Outcome run_once(net::SchedulerType scheduler, const std::string& trace_path) {
-  auto config = traced_config(scheduler);
+Outcome run_once(runner::ExperimentConfig config,
+                 const std::string& trace_path) {
   config.telemetry.trace = trace_path;  // empty = tracing off
   runner::Experiment experiment(config);
   EXPECT_EQ(experiment.tracing() != nullptr, !trace_path.empty());
@@ -371,20 +379,29 @@ Outcome run_once(net::SchedulerType scheduler, const std::string& trace_path) {
 }
 
 // The central promise of the API: attaching a recorder observes the run
-// without perturbing it. Every discipline must produce bit-identical
-// metrics with tracing on and off.
+// without perturbing it. Every discipline, and every baseline stack, must
+// produce bit-identical metrics with tracing on and off.
 TEST(TracingIdentityTest, TracedRunIsBitIdenticalAcrossDisciplines) {
-  const net::SchedulerType disciplines[] = {
-      net::SchedulerType::kFifo, net::SchedulerType::kWfq,
-      net::SchedulerType::kDwrr, net::SchedulerType::kSpq,
-      net::SchedulerType::kPfabric};
+  std::vector<runner::ExperimentConfig> inputs;
+  for (const auto scheduler :
+       {net::SchedulerType::kFifo, net::SchedulerType::kWfq,
+        net::SchedulerType::kDwrr, net::SchedulerType::kSpq,
+        net::SchedulerType::kPfabric}) {
+    inputs.push_back(traced_config(scheduler));
+  }
+  for (const auto baseline :
+       {runner::BaselineProtocol::kPfabric, runner::BaselineProtocol::kQjump,
+        runner::BaselineProtocol::kHoma, runner::BaselineProtocol::kD3,
+        runner::BaselineProtocol::kPdq}) {
+    inputs.push_back(traced_config(net::SchedulerType::kWfq, baseline));
+  }
   int variant = 0;
-  for (const auto scheduler : disciplines) {
+  for (const runner::ExperimentConfig& config : inputs) {
     SCOPED_TRACE(variant);
     const std::string path = ::testing::TempDir() + "obs_identity_" +
                              std::to_string(variant++) + ".json";
-    const Outcome untraced = run_once(scheduler, "");
-    const Outcome traced = run_once(scheduler, path);
+    const Outcome untraced = run_once(config, "");
+    const Outcome traced = run_once(config, path);
     EXPECT_GT(untraced.completed, 0u);
     EXPECT_EQ(untraced.completed, traced.completed);
     for (std::size_t qos = 0; qos < 2; ++qos) {

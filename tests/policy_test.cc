@@ -487,9 +487,10 @@ PolicyRun run_policy_workload(const std::string& kind, std::size_t shards,
   // While the run is hot, assert every host's gauges respect their
   // documented bounds (the audit's gauge-bounds check, run unconditionally
   // here so it also covers AEQ_AUDIT=OFF builds).
+  std::vector<rpc::Gauge> gauges;
   for (std::size_t h = 0; h < config.num_hosts; ++h) {
-    for (const rpc::Gauge& gauge :
-         experiment.admission(static_cast<net::HostId>(h)).gauges()) {
+    experiment.admission(static_cast<net::HostId>(h)).gauges(gauges);
+    for (const rpc::Gauge& gauge : gauges) {
       EXPECT_GE(gauge.value, gauge.lo) << kind << " gauge " << gauge.name;
       EXPECT_LE(gauge.value, gauge.hi) << kind << " gauge " << gauge.name;
     }

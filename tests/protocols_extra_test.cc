@@ -6,30 +6,33 @@
 #include <memory>
 #include <vector>
 
-#include "runner/protocol_experiment.h"
+#include "policy/spec.h"
+#include "runner/experiment.h"
 
 namespace aeq::protocols {
 namespace {
 
 using runner::BaselineProtocol;
-using runner::ProtocolExperiment;
-using runner::ProtocolExperimentConfig;
+using runner::Experiment;
 
-ProtocolExperimentConfig base_config(BaselineProtocol protocol,
+runner::ExperimentConfig base_config(BaselineProtocol protocol,
                                      std::size_t hosts = 3) {
-  ProtocolExperimentConfig config;
-  config.protocol = protocol;
+  runner::ExperimentConfig config;
+  config.baseline = protocol;
+  config.admission.kind = policy::kAlwaysAdmit;
   config.num_hosts = hosts;
   config.num_qos = 3;
   config.slo = rpc::SloConfig::make(
       {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
+  // pFabric's shallow per-port buffer: ~2.5 BDP at 100G.
+  if (protocol == BaselineProtocol::kPfabric) config.buffer_bytes = 160 * 1024;
   return config;
 }
 
 TEST(QjumpExtraTest, TopLevelIsolatedFromScavengerBlast) {
   auto config = base_config(BaselineProtocol::kQjump);
   config.qjump_level_rate_fraction = {0.10, 0.30, 0.0};
-  ProtocolExperiment experiment(config);
+  Experiment experiment(config);
   // Host 1 dumps a huge BE message; host 0's small PC message must still
   // finish promptly (SPQ + its own rate budget).
   experiment.stack(1).issue(2, rpc::Priority::kBE, 16 * sim::kMiB);
@@ -48,7 +51,7 @@ TEST(QjumpExtraTest, TopLevelIsolatedFromScavengerBlast) {
 }
 
 TEST(HomaExtraTest, ShorterMessagesFinishFirstUnderSharedBottleneck) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kHoma, 5));
+  Experiment experiment(base_config(BaselineProtocol::kHoma, 5));
   std::vector<std::pair<std::uint64_t, sim::Time>> completions;
   for (net::HostId src = 0; src < 4; ++src) {
     experiment.stack(src).set_completion_listener(
@@ -72,7 +75,7 @@ TEST(HomaExtraTest, ShorterMessagesFinishFirstUnderSharedBottleneck) {
 }
 
 TEST(PfabricExtraTest, ManySendersAllComplete) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kPfabric, 9));
+  Experiment experiment(base_config(BaselineProtocol::kPfabric, 9));
   int done = 0;
   for (net::HostId src = 0; src < 8; ++src) {
     experiment.stack(src).set_completion_listener(
@@ -128,7 +131,7 @@ TEST(DeadlineFabricExtraTest, UpdateRemainingShrinksDemand) {
 
 TEST(QjumpExtraTest, RecoversFromDropsWithTinyBuffers) {
   auto config = base_config(BaselineProtocol::kQjump);
-  ProtocolExperiment experiment(config);
+  Experiment experiment(config);
   // Shrink the victim downlink's effective buffer by blasting two
   // unthrottled BE streams; reliability must still complete everything.
   int done = 0;
@@ -144,7 +147,7 @@ TEST(QjumpExtraTest, RecoversFromDropsWithTinyBuffers) {
 TEST(HomaExtraTest, UnscheduledOnlyMessageNeedsNoGrants) {
   auto config = base_config(BaselineProtocol::kHoma);
   config.homa.rtt_bytes = 64 * 1024;
-  ProtocolExperiment experiment(config);
+  Experiment experiment(config);
   sim::Time rnl = 0.0;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { rnl = r.rnl; });

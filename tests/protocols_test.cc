@@ -3,31 +3,36 @@
 // fabric (allocation, pausing, termination).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "runner/protocol_experiment.h"
+#include "policy/spec.h"
+#include "runner/experiment.h"
 
 namespace aeq::protocols {
 namespace {
 
 using runner::BaselineProtocol;
-using runner::ProtocolExperiment;
-using runner::ProtocolExperimentConfig;
+using runner::Experiment;
 
-ProtocolExperimentConfig base_config(BaselineProtocol protocol,
+runner::ExperimentConfig base_config(BaselineProtocol protocol,
                                      std::size_t hosts = 3) {
-  ProtocolExperimentConfig config;
-  config.protocol = protocol;
+  runner::ExperimentConfig config;
+  config.baseline = protocol;
+  config.admission.kind = policy::kAlwaysAdmit;
   config.num_hosts = hosts;
   config.num_qos = 3;
   config.slo = rpc::SloConfig::make(
       {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
+  // pFabric's shallow per-port buffer: ~2.5 BDP at 100G.
+  if (protocol == BaselineProtocol::kPfabric) config.buffer_bytes = 160 * 1024;
   return config;
 }
 
 TEST(PfabricTest, SingleMessageCompletes) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kPfabric));
+  Experiment experiment(base_config(BaselineProtocol::kPfabric));
   rpc::RpcRecord done;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { done = r; });
@@ -42,7 +47,7 @@ TEST(PfabricTest, SingleMessageCompletes) {
 TEST(PfabricTest, SmallMessageBeatsLargeUnderContention) {
   // Start a huge transfer, then a small one on the same bottleneck: SRPT
   // should let the small message finish almost as if the link were idle.
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kPfabric));
+  Experiment experiment(base_config(BaselineProtocol::kPfabric));
   sim::Time small_rnl = 0.0;
   experiment.stack(0).issue(2, rpc::Priority::kBE, 8 * sim::kMiB);
   experiment.stack(1).set_completion_listener(
@@ -57,8 +62,8 @@ TEST(PfabricTest, SmallMessageBeatsLargeUnderContention) {
 
 TEST(PfabricTest, SurvivesTinyBufferDrops) {
   auto config = base_config(BaselineProtocol::kPfabric);
-  config.pfabric_buffer_bytes = 32 * 1024;  // 8 packets
-  ProtocolExperiment experiment(config);
+  config.buffer_bytes = 32 * 1024;  // 8 packets
+  Experiment experiment(config);
   int done = 0;
   for (net::HostId src : {0, 1}) {
     experiment.stack(src).set_completion_listener(
@@ -78,7 +83,7 @@ TEST(PfabricTest, SurvivesTinyBufferDrops) {
 TEST(QjumpTest, HighLevelRateLimited) {
   auto config = base_config(BaselineProtocol::kQjump);
   config.qjump_level_rate_fraction = {0.05, 0.20, 0.0};
-  ProtocolExperiment experiment(config);
+  Experiment experiment(config);
   sim::Time done_at = 0.0;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { done_at = r.completed; });
@@ -89,7 +94,7 @@ TEST(QjumpTest, HighLevelRateLimited) {
 }
 
 TEST(QjumpTest, UnthrottledLowLevelRunsAtLineRate) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kQjump));
+  Experiment experiment(base_config(BaselineProtocol::kQjump));
   sim::Time done_at = 0.0;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { done_at = r.completed; });
@@ -100,7 +105,7 @@ TEST(QjumpTest, UnthrottledLowLevelRunsAtLineRate) {
 }
 
 TEST(HomaTest, MessageLargerThanRttBytesNeedsGrants) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kHoma));
+  Experiment experiment(base_config(BaselineProtocol::kHoma));
   rpc::RpcRecord done;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { done = r; });
@@ -111,7 +116,7 @@ TEST(HomaTest, MessageLargerThanRttBytesNeedsGrants) {
 }
 
 TEST(HomaTest, SmallMessagePreferredUnderContention) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kHoma));
+  Experiment experiment(base_config(BaselineProtocol::kHoma));
   sim::Time small_rnl = 0.0;
   experiment.stack(0).issue(2, rpc::Priority::kBE, 4 * sim::kMiB);
   experiment.stack(1).set_completion_listener(
@@ -178,7 +183,7 @@ TEST(DeadlineFabricTest, PdqTerminatesFlowsThatCannotMakeIt) {
 }
 
 TEST(D3Test, EndToEndCompletesWithDeadline) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kD3));
+  Experiment experiment(base_config(BaselineProtocol::kD3));
   rpc::RpcRecord done;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { done = r; });
@@ -190,7 +195,7 @@ TEST(D3Test, EndToEndCompletesWithDeadline) {
 }
 
 TEST(D3Test, OverloadTerminatesSomeDeadlineFlows) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kD3, 5));
+  Experiment experiment(base_config(BaselineProtocol::kD3, 5));
   int terminated = 0, completed = 0;
   for (net::HostId src = 0; src < 4; ++src) {
     experiment.stack(src).set_completion_listener(
@@ -208,7 +213,7 @@ TEST(D3Test, OverloadTerminatesSomeDeadlineFlows) {
 }
 
 TEST(PdqTest, EndToEndPreemptionStillCompletesAll) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kPdq, 4));
+  Experiment experiment(base_config(BaselineProtocol::kPdq, 4));
   int completed = 0, terminated = 0;
   for (net::HostId src = 0; src < 3; ++src) {
     experiment.stack(src).set_completion_listener(
@@ -224,16 +229,29 @@ TEST(PdqTest, EndToEndPreemptionStillCompletesAll) {
   EXPECT_EQ(terminated, 0);
 }
 
-TEST(ProtocolExperimentTest, GoodputUtilizationBounded) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kPfabric));
+// Offered payload bytes over the run vs delivered payload, capped at 1.
+double goodput_utilization(const rpc::RpcMetrics& metrics) {
+  std::uint64_t offered = 0;
+  std::uint64_t delivered = 0;
+  for (net::QoSLevel qos = 0; qos < 3; ++qos) {
+    offered += metrics.bytes_requested(qos);
+    delivered += metrics.bytes_completed(qos);
+  }
+  if (offered == 0) return 0.0;
+  return std::min(1.0, static_cast<double>(delivered) /
+                           static_cast<double>(offered));
+}
+
+TEST(BaselineStackTest, GoodputUtilizationBounded) {
+  Experiment experiment(base_config(BaselineProtocol::kPfabric));
   const auto* sizes = experiment.own(
       std::make_unique<workload::FixedSize>(32 * sim::kKiB));
   workload::GeneratorConfig gen;
   gen.classes = {{rpc::Priority::kPC, 0.3 * sim::gbps(100), sizes, 0.0}};
   experiment.add_generator(0, gen, workload::fixed_destination(2));
   experiment.run(1 * sim::kMsec, 5 * sim::kMsec);
-  EXPECT_GT(experiment.goodput_utilization(), 0.9);
-  EXPECT_LE(experiment.goodput_utilization(), 1.0);
+  EXPECT_GT(goodput_utilization(experiment.metrics()), 0.9);
+  EXPECT_LE(goodput_utilization(experiment.metrics()), 1.0);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the experiment harnesses themselves: sampler scheduling,
+// Tests for the experiment harness itself: sampler scheduling,
 // utilization accounting, ownership helpers, generator windows, and
 // contract violations (death tests on AEQ_ASSERT).
 #include <gtest/gtest.h>
@@ -7,7 +7,6 @@
 
 #include "net/wfq.h"
 #include "runner/experiment.h"
-#include "runner/protocol_experiment.h"
 
 namespace aeq {
 namespace {
@@ -82,7 +81,7 @@ TEST(ExperimentTest, UniformPickerNeverSelectsSelf) {
   }
 }
 
-TEST(ProtocolExperimentTest, BaselineNamesStable) {
+TEST(BaselineStackTest, BaselineNamesStable) {
   EXPECT_STREQ(runner::baseline_name(runner::BaselineProtocol::kPfabric),
                "pFabric");
   EXPECT_STREQ(runner::baseline_name(runner::BaselineProtocol::kQjump),

@@ -279,6 +279,12 @@ TEST_F(ShardSupportDeathTest, LeafSpineDies) {
   EXPECT_DEATH(runner::Experiment experiment(config), "star topologies");
 }
 
+TEST_F(ShardSupportDeathTest, BaselineStackDies) {
+  auto config = two_shards();
+  config.baseline = runner::BaselineProtocol::kPdq;
+  EXPECT_DEATH(runner::Experiment experiment(config), "one shard only");
+}
+
 TEST_F(ShardSupportDeathTest, TimeseriesDies) {
   auto config = two_shards();
   config.telemetry.timeseries_csv = ::testing::TempDir() + "shard_ts.csv";

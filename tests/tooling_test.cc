@@ -174,8 +174,8 @@ TEST(BenchArgsDeathTest, ShardsBelowOneExitsWithUsageError) {
   for (const char* shards : {"--shards=0", "--shards=-1"}) {
     SCOPED_TRACE(shards);
     const char* argv[] = {"bench", shards};
-    EXPECT_EXIT(bench::parse_args(2, const_cast<char**>(argv)),
-                ::testing::ExitedWithCode(2), "--shards");
+    EXPECT_EXIT(bench::parse_args(2, const_cast<char**>(argv), {"shards"}),
+                ::testing::ExitedWithCode(2), "--shards must be at least 1");
   }
 }
 
@@ -193,11 +193,16 @@ TEST(BenchArgsDeathTest, UnknownFlagExitsWithUsageErrorNamingIt) {
   EXPECT_EQ(args.flags.get_int("hosts", 0), 8);
 }
 
+// --shards is accepted only from a bench that declares it (one that wires
+// it into its config); anywhere else it is an unknown flag.
 TEST(BenchArgsTest, ShardsDefaultToOne) {
   const char* argv[] = {"bench"};
   EXPECT_EQ(bench::parse_args(1, const_cast<char**>(argv)).shards, 1u);
   const char* four[] = {"bench", "--shards=4"};
-  EXPECT_EQ(bench::parse_args(2, const_cast<char**>(four)).shards, 4u);
+  EXPECT_EQ(bench::parse_args(2, const_cast<char**>(four), {"shards"}).shards,
+            4u);
+  EXPECT_EXIT(bench::parse_args(2, const_cast<char**>(four)),
+              ::testing::ExitedWithCode(2), "unknown flag --shards");
 }
 
 TEST(DctcpTest, CutProportionalToMarkedFraction) {
