@@ -184,7 +184,7 @@ void BM_EndToEndPacketThroughput(benchmark::State& state) {
     config.num_hosts = 3;
     config.host_queue.weights = {4.0, 1.0};
     config.switch_queue.weights = {4.0, 1.0};
-    topo::Network network = topo::build_star(s, config);
+    topo::Network network = topo::build_star({&s}, config);
     std::vector<std::unique_ptr<transport::HostStack>> stacks;
     for (std::size_t i = 0; i < 3; ++i) {
       stacks.push_back(std::make_unique<transport::HostStack>(

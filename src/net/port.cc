@@ -70,26 +70,24 @@ void Port::try_transmit() {
     // event per packet here plus one arrival event on the receiving side,
     // the same two-per-packet budget as the sink mode below. The arrival
     // timestamp is computed here, as now + (ser + propagation) — the exact
-    // expression the sink mode passes to schedule_in — so serial and
-    // sharded runs place the arrival on the same float, bit for bit
-    // (computing now + ser first and adding propagation at tx-end rounds
-    // differently and breaks schedule equivalence).
+    // expression the sink mode passes to schedule_in — so both modes place
+    // the arrival on the same float, bit for bit (computing now + ser
+    // first and adding propagation at tx-end rounds differently).
     const sim::Time arrival = sim_.now() + (ser + propagation_);
     sim_.schedule_in(ser, [this, arrival] {
       busy_time_ += sim_.now() - tx_start_;
       busy_ = false;
       AEQ_DCHECK(!in_flight_.empty());
-      const Packet packet = in_flight_.front();
+      // Handed over in place: the receiver copies it, and nothing it does
+      // touches this port's ring.
+      link_->on_tx_complete(in_flight_.front(), arrival);
       in_flight_.pop_front();
       ++delivered_packets_;
-      link_->on_tx_complete(packet, arrival);
       try_transmit();
     });
     return;
   }
-  const std::uint16_t rank =
-      rank_by_src_ ? delivery_tie_rank(next->src) : sim::kTieRankDefault;
-  sim_.schedule_in(ser + propagation_, [this] { deliver_head(); }, rank);
+  sim_.schedule_in(ser + propagation_, [this] { deliver_head(); });
   sim_.schedule_in(ser, [this] {
     busy_time_ += sim_.now() - tx_start_;
     busy_ = false;

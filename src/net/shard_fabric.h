@@ -1,29 +1,31 @@
-// Cross-shard packet fabric for the conservative-PDES executive.
+// Packet fabric between host NICs and the star's switches, at any shard
+// count (sim::ShardedSimulator; one shard is the serial run).
 //
-// When the topology is partitioned into shards — each shard owning a group
-// of hosts plus the switch egress ports that feed them — the only traffic
-// that crosses shard boundaries is a host NIC transmitting toward a switch
-// owned by another shard. The fabric models that cut:
+// A shard owns a group of hosts plus the switch egress ports that feed
+// them, so the only traffic that can cross a shard boundary is a host NIC
+// transmitting toward a switch owned by another shard. The fabric models
+// that hop for every NIC, whether or not it crosses:
 //
 //   * Every NIC egress port runs in LinkReceiver handoff mode (see
 //     net::Port): at serialization end it hands (packet, arrival time =
 //     tx-end + propagation) to its shard's link object.
-//   * Same-shard packets are landed immediately: a slot in the shard's
-//     arrival pool plus one event at the arrival time (the event captures
-//     {pool, slot} — 16 bytes, well inside the scheduler's 48-byte inline
-//     handler budget, which is why packets are never captured directly).
+//   * Same-shard packets — all of them with one shard — are landed
+//     immediately: a slot in the shard's arrival pool plus one event at the
+//     arrival time (the event captures {pool, slot} — 16 bytes, well inside
+//     the scheduler's 48-byte inline handler budget, which is why packets
+//     are never captured directly).
 //   * Cross-shard packets go into the (src, dst) SPSC mailbox — a
 //     util::SpscChannel plus a producer-owned overflow vector so nothing is
 //     ever dropped — and are drained at the next lookahead barrier by the
 //     coordinator, in fixed (destination, source, FIFO) order, into the
 //     destination shard's arrival pool. Arrival timestamps exceed the
 //     barrier horizon by construction (propagation >= lookahead), so the
-//     handoff never schedules into a shard's past.
+//     handoff never schedules into a shard's past. A shard has no mailbox
+//     to itself, so one shard has none at all.
 //
 // Event budget: one tx-end event on the sending shard plus one arrival
-// event on the receiving shard per packet — identical to the serial link
-// pipeline, which is what makes serial and sharded event counts comparable
-// (the "cross-shard event identity" pinned by BENCH_hotpath.json).
+// event on the receiving shard per packet, at every shard count (the
+// "cross-shard event identity" pinned by BENCH_hotpath.json).
 #pragma once
 
 #include <cstdint>
@@ -33,6 +35,7 @@
 #include "net/packet.h"
 #include "net/port.h"
 #include "net/switch.h"
+#include "sim/assert.h"
 #include "sim/simulator.h"
 #include "util/spsc_channel.h"
 
@@ -41,11 +44,9 @@ namespace aeq::net {
 class ShardFabric {
  public:
   // `sims[k]` is shard k's executive; `shard_of_host[h]` maps each host id
-  // to its owning shard. `mailbox_capacity` sizes each SPSC ring (messages
-  // beyond it spill to the overflow vector — correct, just slower).
+  // to its owning shard.
   ShardFabric(std::vector<sim::Simulator*> sims,
-              std::vector<std::uint32_t> shard_of_host,
-              std::size_t mailbox_capacity = 4096);
+              std::vector<std::uint32_t> shard_of_host);
 
   ShardFabric(const ShardFabric&) = delete;
   ShardFabric& operator=(const ShardFabric&) = delete;
@@ -55,12 +56,16 @@ class ShardFabric {
     return shard_of_host_.at(static_cast<std::size_t>(host));
   }
 
-  // Topology wiring (called by topo::build_sharded_star): the switch whose
-  // egress ports shard `k` owns, i.e. where shard-k-bound packets land.
+  // Topology wiring (called by topo::build_star): the switch whose egress
+  // ports shard `k` owns, i.e. where shard-k-bound packets land.
   void set_local_switch(std::size_t shard, Switch* sw);
 
   // The LinkReceiver every NIC egress port of shard `k` connects to.
   LinkReceiver* nic_link(std::size_t shard);
+
+  // Pre-sizes every shard's arrival pool for this many packets in
+  // propagation at once, so steady-state landing never grows storage.
+  void reserve_packets(std::size_t packets);
 
   // Barrier callback: drains every mailbox into its destination shard, in
   // (destination, source, FIFO) order. Must only run while all shard
@@ -75,7 +80,7 @@ class ShardFabric {
   // workers are parked — between run_until calls or at a barrier) ---
   std::uint64_t cross_shard_packets() const;
   // Pushes that missed the SPSC ring and took the overflow vector; a large
-  // count means mailbox_capacity is undersized for the traffic matrix.
+  // count means kMailboxCapacity is undersized for the traffic matrix.
   std::uint64_t mailbox_overflows() const;
   // Deepest any single (src, dst) mailbox got between barriers (ring +
   // overflow, sampled at push time): the executive's peak cross-shard
@@ -83,6 +88,10 @@ class ShardFabric {
   std::uint64_t mailbox_depth_hwm() const;
 
  private:
+  // Slots per SPSC ring; messages beyond it spill to the overflow vector
+  // (correct, just slower).
+  static constexpr std::size_t kMailboxCapacity = 4096;
+
   struct StampedPacket {
     sim::Time arrival = 0.0;
     Packet packet;
@@ -111,8 +120,7 @@ class ShardFabric {
   // The role discipline is enforced by the executive's epoch protocol and
   // checked under TSan in CI.
   struct Mailbox {
-    explicit Mailbox(std::size_t capacity) : ring(capacity) {}
-    util::SpscChannel<StampedPacket> ring;
+    util::SpscChannel<StampedPacket> ring{kMailboxCapacity};
     std::vector<StampedPacket> overflow;
     std::uint64_t pushed = 0;      // written by the producer shard only
     std::uint64_t overflowed = 0;  // ditto
@@ -132,18 +140,17 @@ class ShardFabric {
     std::uint32_t shard_;
   };
 
+  // Shard src's K-1 outgoing mailboxes are contiguous, skipping src->src.
   Mailbox& mailbox(std::size_t src, std::size_t dst) {
-    return *mailboxes_[src * num_shards() + dst];
-  }
-  const Mailbox& mailbox(std::size_t src, std::size_t dst) const {
-    return *mailboxes_[src * num_shards() + dst];
+    AEQ_DCHECK(src != dst);
+    return *mailboxes_[src * (num_shards() - 1) + (dst < src ? dst : dst - 1)];
   }
 
   std::vector<sim::Simulator*> sims_;
   std::vector<std::uint32_t> shard_of_host_;
   std::vector<ArrivalPool> arrivals_;
   std::vector<ShardLink> links_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // [src * K + dst]
+  std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // K * (K - 1), see mailbox()
 };
 
 }  // namespace aeq::net

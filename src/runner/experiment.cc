@@ -16,7 +16,6 @@
 #include "protocols/qjump.h"
 #include "sim/assert.h"
 #include "sim/rng.h"
-#include "topo/sharding.h"
 
 namespace aeq::runner {
 
@@ -81,39 +80,35 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   star.link_delay = config_.link_delay;
   star.host_queue = queue;
   star.switch_queue = queue;
-  if (config_.shards > 1) {
-    AEQ_CHECK_GE(config_.num_hosts, config_.shards);
-    const topo::ShardPlan plan = topo::make_shard_plan(star, config_.shards);
-    executive_ = std::make_unique<sim::ShardedSimulator>(
-        config_.shards, plan.lookahead);
+  // A star's shards meet only at its NIC->switch hops, so the link delay is
+  // the lookahead (one shard has no cut and ignores it).
+  executive_ = std::make_unique<sim::ShardedSimulator>(config_.shards,
+                                                       config_.link_delay);
+  if (config_.use_leaf_spine) {
+    topo::LeafSpineConfig ls = config_.leaf_spine;
+    ls.host_queue = queue;
+    ls.switch_queue = queue;
+    network_ = topo::build_leaf_spine(simulator(), ls);
+    config_.num_hosts = network_.num_hosts();
+  } else {
     std::vector<sim::Simulator*> sims;
-    sims.reserve(config_.shards);
     for (std::size_t k = 0; k < config_.shards; ++k) {
       sims.push_back(&executive_->shard(k));
     }
-    fabric_ = std::make_unique<net::ShardFabric>(sims, plan.shard_of_host);
-    network_ = topo::build_sharded_star(sims, star, plan, *fabric_);
-    executive_->set_barrier_callback([this] { fabric_->drain_all(); });
-  } else {
-    // One shard has no cut, hence no lookahead to bound.
-    executive_ =
-        std::make_unique<sim::ShardedSimulator>(1, /*lookahead=*/0.0);
-    if (config_.use_leaf_spine) {
-      topo::LeafSpineConfig ls = config_.leaf_spine;
-      ls.host_queue = queue;
-      ls.switch_queue = queue;
-      network_ = topo::build_leaf_spine(simulator(), ls);
-      config_.num_hosts = network_.num_hosts();
-    } else {
-      network_ = topo::build_star(simulator(), star);
-    }
+    network_ = topo::build_star(sims, star);
+    executive_->set_barrier_callback(
+        [this] { network_.shard_fabric()->drain_all(); });
   }
 
   if (config_.schedule_digest) executive_->enable_schedule_digest();
 
   if (config_.queue_reserve_packets != 0) {
     // make_queue already pre-sized each discipline's rings; extend the hint
-    // to every port's in-flight ring so links never grow storage either.
+    // to every port's in-flight ring and the star fabric's arrival pools so
+    // links never grow storage either.
+    if (shard_fabric() != nullptr) {
+      shard_fabric()->reserve_packets(config_.queue_reserve_packets);
+    }
     for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
       network_.host(static_cast<net::HostId>(i))
           .egress()
@@ -372,9 +367,10 @@ void Experiment::finish_profiling() {
     report.executive.barrier_stall_share = exec.barrier_stall_share();
     report.executive.load_imbalance = exec.load_imbalance();
     report.executive.window_hist = exec.window_hist;
-    report.executive.mailbox_depth_hwm = fabric_->mailbox_depth_hwm();
-    report.executive.cross_shard_packets = fabric_->cross_shard_packets();
-    report.executive.mailbox_overflows = fabric_->mailbox_overflows();
+    report.executive.mailbox_depth_hwm = shard_fabric()->mailbox_depth_hwm();
+    report.executive.cross_shard_packets =
+        shard_fabric()->cross_shard_packets();
+    report.executive.mailbox_overflows = shard_fabric()->mailbox_overflows();
   }
 
   obs::prof::write_json(report, config_.prof);
@@ -703,8 +699,8 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
   // One final sweep over the drained state (catches leaks that only show
   // once queues empty, e.g. a pool reservation that never released).
   for (auto& auditor : auditors_) auditor->run_all();
-  if (fabric_) {
-    AEQ_ASSERT_MSG(fabric_->idle(),
+  if (shard_fabric() != nullptr) {
+    AEQ_ASSERT_MSG(shard_fabric()->idle(),
                    "cross-shard mailboxes still hold packets after drain");
   }
   // Above one shard: fold the per-shard metric sinks into shard 0's in

@@ -115,9 +115,11 @@ struct ExperimentConfig {
   // shards, each with its own event scheduler, advanced in conservative
   // lookahead windows on a worker pool (sim::ShardedSimulator). Same seed
   // and workload produce metrics identical to shards=1 for any value —
-  // enforced by the shard-determinism property suite. shards=1 runs the
-  // one shard inline on the calling thread, with no cut and no windows.
-  // Above 1 the topology must be a star; sample_every, windowed telemetry
+  // enforced by the shard-determinism property suite. shards=1 is the
+  // one-shard case of the same star (topo::build_star): its one shard runs
+  // inline on the calling thread, and with no cut and no windows every
+  // packet lands through the fabric without a mailbox. Above 1 the
+  // topology must be a star; sample_every, windowed telemetry
   // (timeseries/watchdog/flight recorder) and a second run() are not yet
   // supported (Experiment::check_shard_support).
   std::size_t shards = 1;
@@ -193,11 +195,13 @@ class Experiment {
   // The parallel executive; null when config().shards == 1 (the one shard
   // then runs inline and has no windows or barriers to report).
   sim::ShardedSimulator* sharded() {
-    return fabric_ ? executive_.get() : nullptr;
+    return config_.shards > 1 ? executive_.get() : nullptr;
   }
 
-  // The cross-shard packet fabric; null when config().shards == 1.
-  net::ShardFabric* shard_fabric() { return fabric_.get(); }
+  // The star's NIC-to-switch packet fabric, at every shard count (one shard
+  // has no mailboxes, so it counts no cross-shard packets); null for a
+  // leaf-spine topology.
+  net::ShardFabric* shard_fabric() { return network_.shard_fabric(); }
 
   // Current simulated time / total events dispatched.
   sim::Time now() const { return executive_->now(); }
@@ -312,11 +316,15 @@ class Experiment {
   void register_audit_checks();
   void schedule_audit(std::size_t k, sim::Time at, sim::Time end);
   // The shard that owns host `id`, and the one that owns fabric switch `s`
-  // (build_sharded_star builds one switch per shard, in shard order).
+  // (build_star builds one switch per shard, in shard order; a leaf-spine
+  // lives on shard 0).
   std::size_t shard_of(net::HostId id) const {
-    return fabric_ ? fabric_->shard_of(id) : 0;
+    const net::ShardFabric* fabric = network_.shard_fabric();
+    return fabric != nullptr ? fabric->shard_of(id) : 0;
   }
-  std::size_t shard_of_switch(std::size_t s) const { return fabric_ ? s : 0; }
+  std::size_t shard_of_switch(std::size_t s) const {
+    return network_.shard_fabric() != nullptr ? s : 0;
+  }
   sim::Simulator& host_simulator(net::HostId id) {
     return executive_->shard(shard_of(id));
   }
@@ -333,10 +341,8 @@ class Experiment {
   static void failure_dump(void* self);
 
   ExperimentConfig config_;
-  // The executive, and the cross-shard mailbox fabric (K>1 only: with no
-  // cut, routing every packet through a mailbox would only add a handoff).
+  // The executive; a star's packet fabric lives in network_.
   std::unique_ptr<sim::ShardedSimulator> executive_;
-  std::unique_ptr<net::ShardFabric> fabric_;
   bool ran_ = false;
   topo::Network network_;
   // Per-shard sinks, indexed by shard. Above one shard run() folds every

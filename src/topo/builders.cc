@@ -1,10 +1,13 @@
 #include "topo/builders.h"
 
-#include "net/shared_buffer.h"
-
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "net/shard_fabric.h"
+#include "net/shared_buffer.h"
 
 #include "sim/assert.h"
 
@@ -21,43 +24,77 @@ std::unique_ptr<net::Port> make_port(sim::Simulator& simulator,
 
 }  // namespace
 
-Network build_star(sim::Simulator& simulator, const StarConfig& config) {
+Network build_star(const std::vector<sim::Simulator*>& sims,
+                   const StarConfig& config) {
+  const std::size_t shards = sims.size();
   AEQ_CHECK_GE(config.num_hosts, 2u);
+  AEQ_CHECK_GE(shards, 1u);
+  AEQ_CHECK_GE(config.num_hosts, shards);
+  if (shards > 1) {
+    AEQ_ASSERT_MSG(config.link_delay > 0.0 &&
+                       config.link_delay <
+                           std::numeric_limits<sim::Time>::infinity(),
+                   "sharding requires a positive cross-shard link delay");
+    AEQ_ASSERT_MSG(config.shared_buffer_bytes == 0,
+                   "shared switch buffers span all downlinks and cannot be "
+                   "partitioned across shards");
+  }
+
+  const std::size_t block = (config.num_hosts + shards - 1) / shards;
+  std::vector<std::uint32_t> shard_of_host(config.num_hosts);
+  for (std::size_t h = 0; h < config.num_hosts; ++h) {
+    shard_of_host[h] = static_cast<std::uint32_t>(h / block);
+  }
+
   Network network;
-  auto* fabric = network.add_switch(std::make_unique<net::Switch>("tor"));
+  auto fabric = std::make_unique<net::ShardFabric>(sims, shard_of_host);
+  std::vector<net::Switch*> switches;
+  switches.reserve(shards);
+  for (std::size_t k = 0; k < shards; ++k) {
+    switches.push_back(network.add_switch(std::make_unique<net::Switch>(
+        shards == 1 ? "tor" : "tor-shard" + std::to_string(k))));
+    fabric->set_local_switch(k, switches.back());
+  }
   net::SharedBufferPool* pool = nullptr;
   if (config.shared_buffer_bytes != 0) {
     pool = network.add_buffer_pool(std::make_unique<net::SharedBufferPool>(
         config.shared_buffer_bytes, config.shared_buffer_alpha));
   }
 
+  // Hosts in global id order; the NIC hands packets to its shard's link at
+  // serialization end instead of scheduling delivery itself — the
+  // propagation leg is what the cut's lookahead is made of.
   for (std::size_t i = 0; i < config.num_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
-    auto uplink = make_port(simulator, config.link_rate, config.link_delay,
+    const std::uint32_t shard = shard_of_host[i];
+    auto uplink = make_port(*sims[shard], config.link_rate, config.link_delay,
                             config.host_queue);
-    uplink->connect(fabric);
-    // Host-NIC deliveries rank by source so the serial schedule is the one
-    // a sharded run of the same seed reproduces (see Port).
-    uplink->rank_deliveries_by_source();
+    uplink->connect(fabric->nic_link(shard));
     network.add_host(std::make_unique<net::Host>(id, std::move(uplink)));
   }
+  // Downlinks in global host order (register_downlink is indexed by host
+  // id), each on its owner's switch and simulator; a switch only routes its
+  // own hosts because the fabric never hands it foreign packets.
   for (std::size_t i = 0; i < config.num_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
+    const std::uint32_t shard = shard_of_host[i];
     std::unique_ptr<net::QueueDiscipline> queue =
         net::make_queue(config.switch_queue);
     if (pool != nullptr) {
       queue = std::make_unique<net::PooledQueue>(std::move(queue), *pool);
     }
     auto downlink = std::make_unique<net::Port>(
-        simulator, config.link_rate, config.link_delay, std::move(queue));
+        *sims[shard], config.link_rate, config.link_delay, std::move(queue));
     downlink->connect(&network.host(id));
-    const std::size_t port = fabric->add_port(std::move(downlink));
-    fabric->set_route(id, port);
-    network.register_downlink(&fabric->port(port));
+    net::Switch& sw = *switches[shard];
+    const std::size_t port = sw.add_port(std::move(downlink));
+    sw.set_route(id, port);
+    network.register_downlink(&sw.port(port));
     if (pool != nullptr) {
-      network.register_pool_member(pool, &fabric->port(port).queue());
+      network.register_pool_member(pool, &sw.port(port).queue());
     }
   }
+  network.set_shard_fabric(std::move(fabric));
   return network;
 }
 

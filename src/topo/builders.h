@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "net/queue_factory.h"
 #include "sim/simulator.h"
@@ -29,7 +30,24 @@ struct StarConfig {
   double shared_buffer_alpha = 1.0;
 };
 
-Network build_star(sim::Simulator& simulator, const StarConfig& config);
+// Builds the star of `config` across `sims`, one shard per simulator; one
+// simulator is the serial run (`build_star({&sim}, config)`). Shard k owns
+// the contiguous host block [k*B, (k+1)*B), B = ceil(num_hosts / K) —
+// all-to-all workloads are symmetric, so contiguous blocks balance load as
+// well as any assignment — plus its own switch ("tor" with one shard,
+// "tor-shard<k>" above that) carrying exactly those hosts' downlinks, all
+// on sims[k]. Every NIC uplink hands its packets to the network's
+// net::ShardFabric, which lands same-shard packets at once and mails
+// cross-shard ones to the next barrier. Host ids, downlink registration
+// order and per-host wiring do not depend on the shard count, so
+// everything indexed by host id (metrics, audits, telemetry port names)
+// does not either.
+//
+// Above one shard the cut edges are the NIC->switch hops, so `link_delay`
+// is the executive's lookahead and must be positive; a shared buffer pool
+// spans every downlink and needs the one-shard star.
+Network build_star(const std::vector<sim::Simulator*>& sims,
+                   const StarConfig& config);
 
 struct LeafSpineConfig {
   std::size_t hosts_per_leaf = 8;

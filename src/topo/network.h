@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "net/host.h"
+#include "net/shard_fabric.h"
 #include "net/shared_buffer.h"
 #include "net/switch.h"
 
@@ -54,6 +55,11 @@ class Network {
   };
   const std::vector<PoolGroup>& pool_groups() const { return pool_groups_; }
 
+  // The star's NIC-to-switch packet fabric (topo::build_star, at any shard
+  // count); null for topologies whose NICs deliver straight to a switch.
+  net::ShardFabric* shard_fabric() { return shard_fabric_.get(); }
+  const net::ShardFabric* shard_fabric() const { return shard_fabric_.get(); }
+
   // Builder API.
   net::Host* add_host(std::unique_ptr<net::Host> host);
   net::Switch* add_switch(std::unique_ptr<net::Switch> sw);
@@ -73,8 +79,12 @@ class Network {
     }
     pool_groups_.push_back(PoolGroup{pool, {queue}});
   }
+  void set_shard_fabric(std::unique_ptr<net::ShardFabric> fabric) {
+    shard_fabric_ = std::move(fabric);
+  }
 
  private:
+  std::unique_ptr<net::ShardFabric> shard_fabric_;
   std::vector<std::unique_ptr<net::Host>> hosts_;
   std::vector<std::unique_ptr<net::Switch>> switches_;
   std::vector<std::unique_ptr<net::SharedBufferPool>> pools_;

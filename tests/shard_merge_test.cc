@@ -87,7 +87,7 @@ TEST(ShardMergeTest, PortTracksStayDistinctAcrossShards) {
   }
 
   // And every port of the sharded topology got its own track: 8 host NICs
-  // plus each shard switch's ports (build_sharded_star creates one
+  // plus each shard switch's ports (build_star creates one
   // "tor-shard<k>" switch per shard, so switch tracks exist for all four).
   std::size_t nic_tracks = 0;
   std::set<std::string> switches_seen;

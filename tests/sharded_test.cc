@@ -1,5 +1,5 @@
 // Sharded-execution property suite: the conservative-PDES executive
-// (sim::ShardedSimulator + net::ShardFabric + topo::build_sharded_star)
+// (sim::ShardedSimulator + net::ShardFabric + topo::build_star)
 // must reproduce the serial schedule exactly.
 //
 //  * ShardedSimulator unit tests: window protocol, adaptive horizon,
@@ -246,9 +246,7 @@ RunResult run_mixed_workload(std::size_t shards, bool audit) {
   RunResult result;
   result.metrics = snapshot(experiment.metrics(), config.num_qos);
   result.events = experiment.events_processed();
-  if (experiment.shard_fabric() != nullptr) {
-    result.cross_shard = experiment.shard_fabric()->cross_shard_packets();
-  }
+  result.cross_shard = experiment.shard_fabric()->cross_shard_packets();
   for (std::size_t k = 0; k < shards; ++k) {
     if (experiment.auditor(k) != nullptr) {
       result.audit_passes += experiment.auditor(k)->passes();

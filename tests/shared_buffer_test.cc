@@ -86,7 +86,7 @@ TEST(SharedBufferTopologyTest, StarWithPoolDeliversTraffic) {
   config.host_queue.weights = {4.0, 1.0};
   config.switch_queue.weights = {4.0, 1.0};
   config.shared_buffer_bytes = 2 * sim::kMiB;
-  topo::Network network = topo::build_star(s, config);
+  topo::Network network = topo::build_star({&s}, config);
   std::vector<std::unique_ptr<transport::HostStack>> stacks;
   for (std::size_t i = 0; i < 4; ++i) {
     stacks.push_back(std::make_unique<transport::HostStack>(

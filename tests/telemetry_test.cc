@@ -653,6 +653,19 @@ TEST(TelemetryWiringTest, WatchdogFiresOnOverloadAndFlightDumps) {
   EXPECT_GT(experiment.timeseries()->windows_closed(), 10u);
   EXPECT_GT(experiment.flight_recorder()->dumps(), 0u);
 
+  // A one-shard star keeps the serial artifact names — the host NICs, then
+  // the ports of its one switch "tor" — and its fabric lands every packet
+  // without a mailbox.
+  const obs::Recorder& recorder = *experiment.tracing();
+  ASSERT_EQ(recorder.port_count(), 6u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(recorder.port_name(i), "host" + std::to_string(i) + "-nic");
+    EXPECT_EQ(recorder.port_name(3 + i), "tor-port" + std::to_string(i));
+  }
+  ASSERT_NE(experiment.shard_fabric(), nullptr);
+  EXPECT_EQ(experiment.shard_fabric()->cross_shard_packets(), 0u);
+  EXPECT_EQ(experiment.shard_fabric()->mailbox_depth_hwm(), 0u);
+
   std::ifstream flight(stem + ".flight.json");
   ASSERT_TRUE(flight.is_open());
   std::stringstream buffer;
@@ -661,6 +674,8 @@ TEST(TelemetryWiringTest, WatchdogFiresOnOverloadAndFlightDumps) {
   EXPECT_EQ(dump.rfind(R"({"displayTimeUnit":"ms","traceEvents":[)", 0), 0u);
   EXPECT_EQ(dump.substr(dump.size() - 4), "\n]}\n");
   EXPECT_NE(dump.find(R"("cat":"anomaly")"), std::string::npos);
+  EXPECT_NE(dump.find(R"("name":"host0-nic")"), std::string::npos);
+  EXPECT_NE(dump.find(R"("name":"tor-port2")"), std::string::npos);
 
   std::ifstream sidecar(stem + ".flight.json.timeseries.csv");
   ASSERT_TRUE(sidecar.is_open());

@@ -78,7 +78,7 @@ struct Harness {
     config.num_hosts = hosts;
     config.host_queue.weights = {4.0, 1.0};
     config.switch_queue.weights = {4.0, 1.0};
-    network = topo::build_star(s, config);
+    network = topo::build_star({&s}, config);
     for (std::size_t i = 0; i < hosts; ++i) {
       TransportConfig tc;
       stacks.push_back(std::make_unique<HostStack>(
@@ -181,7 +181,7 @@ TEST(FlowTest, SurvivesPacketLossViaRetransmission) {
   config.host_queue.weights = {4.0, 1.0};
   config.switch_queue.weights = {4.0, 1.0};
   config.switch_queue.capacity_bytes = 20000;  // ~5 MTUs
-  topo::Network network = topo::build_star(s, config);
+  topo::Network network = topo::build_star({&s}, config);
   std::vector<std::unique_ptr<HostStack>> stacks;
   for (std::size_t i = 0; i < 3; ++i) {
     TransportConfig tc;
