@@ -35,14 +35,14 @@
 // The tie rank exists for the sharded (PDES) executive. Equal-timestamp
 // events are common (zero-delay chains, phase-locked ack-clocking), and
 // breaking those ties purely by insertion order would tie the schedule to
-// *when* each event was inserted — which differs between the serial
-// executive (a link's delivery event is inserted at tx-start) and the
-// sharded one (the same delivery is inserted at tx-end or at a lookahead
-// barrier). Events whose insertion point is mode-dependent therefore carry
-// an explicit rank derived from simulation identity (the packet's source
-// host; see net::Port), which both executives compute identically; rank
-// beats insertion order, so the dispatch schedule — and every metric — is
-// the same serially and sharded. Events scheduled without a rank get
+// *when* each event was inserted — and a star's NIC arrival is inserted at
+// tx-end when its switch shares the sender's shard but at a lookahead
+// barrier when it does not, so the insertion point depends on the shard
+// count. Those arrivals therefore carry an explicit rank derived from
+// simulation identity (the packet's source host; see net::ShardFabric),
+// which every shard count computes identically; rank beats insertion
+// order, so the dispatch schedule — and every metric — is the same at
+// every shard count. Events scheduled without a rank get
 // kTieRankDefault (sorts after every ranked event at the same timestamp)
 // and keep pure insertion order among themselves.
 //

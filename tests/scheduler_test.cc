@@ -65,9 +65,9 @@ Replay replay(const OpMix& mix, std::uint64_t seed) {
     // A ranked event sorts ahead of a default-rank one at the same time, so
     // one scheduled at the clock would pop behind a tie that already left —
     // out of (time, tie key) order, which the audited queues reject. Keep
-    // ranked events strictly in the future, as net::Port and ShardFabric
-    // do (they add serialization and propagation delay); exact ties then
-    // form among pending events.
+    // ranked events strictly in the future, as net::ShardFabric does (it
+    // ranks only arrivals a propagation delay ahead); exact ties then form
+    // among pending events.
     if (ranked && dt == 0.0) dt = mix.grid;
     return now + dt;
   };
